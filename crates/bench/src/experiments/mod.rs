@@ -1,6 +1,7 @@
 //! The experiment suite: one module per row of the experiment index in
-//! `DESIGN.md` §6. Each module's `run()` returns the formatted report
-//! its binary prints, so `run_all` and the test-suite can reuse them.
+//! `DESIGN.md` §6, one [`Experiment`] record per module in
+//! [`REGISTRY`]. Each module's `run()` returns the formatted report
+//! `exp <id>` prints, so `exp all` and the test-suite can reuse them.
 
 pub mod x01_trace;
 pub mod x02_messages;
@@ -27,8 +28,50 @@ pub mod x22_telemetry;
 pub mod x23_shard;
 pub mod x24_scale;
 
-/// An experiment entry: display id + runner.
-pub type Experiment = (&'static str, fn() -> String);
+use cmi_obs::Json;
+
+use crate::gate::Gate;
+
+/// One registered experiment: everything the `exp` binary needs to run
+/// it, write its artifact and gate it against a committed baseline.
+pub struct Experiment {
+    /// Command-line id, `"x1"`…`"x24"`.
+    pub id: &'static str,
+    /// Display title (the banner in `experiments_output.txt`).
+    pub title: &'static str,
+    /// The deterministic report (no wall-clock numbers).
+    pub run: fn() -> String,
+    /// Structured artifact written by `--json`, for experiments that
+    /// have one without being measured.
+    pub artifact: Option<fn() -> Json>,
+    /// The measured, baseline-gated arm, if any; its artifact is what
+    /// `--json` writes and `--check` compares.
+    pub gate: Option<&'static Gate>,
+}
+
+/// An experiment that only prints its report.
+const fn plain(id: &'static str, title: &'static str, run: fn() -> String) -> Experiment {
+    Experiment {
+        id,
+        title,
+        run,
+        artifact: None,
+        gate: None,
+    }
+}
+
+/// A measured experiment held to a committed baseline.
+const fn gated(
+    id: &'static str,
+    title: &'static str,
+    run: fn() -> String,
+    gate: &'static Gate,
+) -> Experiment {
+    Experiment {
+        gate: Some(gate),
+        ..plain(id, title, run)
+    }
+}
 
 /// Table cell for a causal verdict. A budget-exhausted `Unknown` is
 /// reported distinctly — it must never be counted as a violation.
@@ -58,22 +101,16 @@ pub(crate) fn cache_cell(v: &cmi_checker::CacheVerdict) -> &'static str {
     }
 }
 
-/// Runs every experiment and concatenates the reports (the `run_all`
-/// binary's payload).
-pub fn run_all() -> String {
-    run_all_jobs(1)
-}
-
 /// Runs every experiment on up to `jobs` worker threads and
-/// concatenates the reports **in registry order**, so the output is
-/// byte-identical to the serial run for any job count. Experiments are
-/// independently seeded, which is what makes this safe.
+/// concatenates the reports **in registry order** (the `exp all`
+/// payload), so the output is byte-identical to the serial run for any
+/// job count. Experiments are independently seeded, which is what makes
+/// this safe.
 pub fn run_all_jobs(jobs: usize) -> String {
-    let reg = registry();
-    let reports = crate::pool::run_indexed(reg.len(), jobs, |i| (reg[i].1)());
+    let reports = crate::pool::run_indexed(REGISTRY.len(), jobs, |i| (REGISTRY[i].run)());
     let mut out = String::new();
-    for ((name, _), report) in reg.iter().zip(reports) {
-        out.push_str(&format!("\n######## {name} ########\n"));
+    for (exp, report) in REGISTRY.iter().zip(reports) {
+        out.push_str(&format!("\n######## {} ########\n", exp.title));
         out.push_str(&report);
     }
     out
@@ -83,15 +120,14 @@ pub fn run_all_jobs(jobs: usize) -> String {
 /// artifact: each experiment's text report plus a fully-instrumented
 /// sample run (engine, channel, protocol and IS-process metrics with
 /// histogram quantiles) from the canonical two-system configuration.
-pub fn run_all_json() -> cmi_obs::Json {
-    use cmi_obs::Json;
+pub fn run_all_json() -> Json {
     let experiments = Json::Arr(
-        registry()
-            .into_iter()
-            .map(|(name, f)| {
+        REGISTRY
+            .iter()
+            .map(|exp| {
                 Json::obj([
-                    ("id", Json::Str(name.to_string())),
-                    ("report", Json::Str(f())),
+                    ("id", Json::Str(exp.title.to_string())),
+                    ("report", Json::Str((exp.run)())),
                 ])
             })
             .collect(),
@@ -107,7 +143,7 @@ pub fn run_all_json() -> cmi_obs::Json {
 /// One instrumented reference run: two 4-process Ahamad systems over a
 /// 10 ms link, write-heavy workload, serialized with
 /// [`RunReport::to_json`](cmi_core::RunReport::to_json).
-pub fn sample_run_json() -> cmi_obs::Json {
+pub fn sample_run_json() -> Json {
     use cmi_memory::WorkloadSpec;
     let mut world = crate::presets::pair_world(
         cmi_memory::ProtocolKind::Ahamad,
@@ -119,56 +155,153 @@ pub fn sample_run_json() -> cmi_obs::Json {
     report.to_json()
 }
 
-/// Experiment registry: `(id, runner)`.
-pub fn registry() -> Vec<Experiment> {
-    vec![
-        ("X1 protocol trace (Figs. 1-3)", x01_trace::run),
-        ("X2 messages per write (Section 6)", x02_messages::run),
-        ("X3 link crossings (Section 6)", x03_crossings::run),
-        ("X4 latency 3l+2d (Section 6)", x04_latency::run),
-        ("X5 response time (Section 6)", x05_response::run),
-        ("X6 Theorem 1 / Corollary 1", x06_causality::run),
-        ("X7 ablations (Section 3)", x07_ablation::run),
-        (
-            "X8 sequential interconnection (Section 1.1)",
-            x08_sequential::run,
-        ),
-        ("X9 dial-up link (Section 1.1)", x09_dialup::run),
-        ("X10 lemma trace checks (Lemmas 1-6)", x10_lemmas::run),
-        ("X11 consistency hierarchy (extension)", x11_hierarchy::run),
-        (
-            "X12 model survival under interconnection (extension)",
-            x12_model_survival::run,
-        ),
-        (
-            "X13 atomic memory interconnection (extension)",
-            x13_atomic::run,
-        ),
-        ("X14 link batching (extension)", x14_batching::run),
-        ("X15 tree shapes (extension)", x15_topology::run),
-        (
-            "X16 unreliable links & crashes (extension)",
-            x16_faults::run,
-        ),
-        ("X17 causal lineage tracing (extension)", x17_lineage::run),
-        ("X18 perf baseline (extension)", x18_perf::run),
-        ("X19 checker scaling (extension)", x19_checker::run),
-        ("X20 online causal monitor (extension)", x20_monitor::run),
-        (
-            "X21 churn under chaos: membership & partitions (extension)",
-            x21_chaos::run,
-        ),
-        (
-            "X22 flight-recorder telemetry (extension)",
-            x22_telemetry::run,
-        ),
-        (
-            "X23 sharded engine: throughput & replay identity (extension)",
-            x23_shard::run,
-        ),
-        (
-            "X24 large-m scale-out: hub-of-hubs & O(1) metadata (extension)",
-            x24_scale::run,
-        ),
-    ]
+/// `(title, runner)` per experiment, in suite order: what `cmi-cli list`
+/// and `cmi-cli experiments` iterate.
+pub fn registry() -> impl Iterator<Item = (&'static str, fn() -> String)> {
+    REGISTRY.iter().map(|exp| (exp.title, exp.run))
+}
+
+/// The experiment registry, in suite order.
+pub const REGISTRY: &[Experiment] = &[
+    plain("x1", "X1 protocol trace (Figs. 1-3)", x01_trace::run),
+    plain("x2", "X2 messages per write (Section 6)", x02_messages::run),
+    plain("x3", "X3 link crossings (Section 6)", x03_crossings::run),
+    plain("x4", "X4 latency 3l+2d (Section 6)", x04_latency::run),
+    plain("x5", "X5 response time (Section 6)", x05_response::run),
+    plain("x6", "X6 Theorem 1 / Corollary 1", x06_causality::run),
+    plain("x7", "X7 ablations (Section 3)", x07_ablation::run),
+    plain(
+        "x8",
+        "X8 sequential interconnection (Section 1.1)",
+        x08_sequential::run,
+    ),
+    plain("x9", "X9 dial-up link (Section 1.1)", x09_dialup::run),
+    plain(
+        "x10",
+        "X10 lemma trace checks (Lemmas 1-6)",
+        x10_lemmas::run,
+    ),
+    plain(
+        "x11",
+        "X11 consistency hierarchy (extension)",
+        x11_hierarchy::run,
+    ),
+    plain(
+        "x12",
+        "X12 model survival under interconnection (extension)",
+        x12_model_survival::run,
+    ),
+    plain(
+        "x13",
+        "X13 atomic memory interconnection (extension)",
+        x13_atomic::run,
+    ),
+    plain("x14", "X14 link batching (extension)", x14_batching::run),
+    plain("x15", "X15 tree shapes (extension)", x15_topology::run),
+    plain(
+        "x16",
+        "X16 unreliable links & crashes (extension)",
+        x16_faults::run,
+    ),
+    Experiment {
+        artifact: Some(x17_lineage::run_json),
+        ..plain(
+            "x17",
+            "X17 causal lineage tracing (extension)",
+            x17_lineage::run,
+        )
+    },
+    gated(
+        "x18",
+        "X18 perf baseline (extension)",
+        x18_perf::run,
+        &x18_perf::GATE,
+    ),
+    gated(
+        "x19",
+        "X19 checker scaling (extension)",
+        x19_checker::run,
+        &x19_checker::GATE,
+    ),
+    gated(
+        "x20",
+        "X20 online causal monitor (extension)",
+        x20_monitor::run,
+        &x20_monitor::GATE,
+    ),
+    gated(
+        "x21",
+        "X21 churn under chaos: membership & partitions (extension)",
+        x21_chaos::run,
+        &x21_chaos::GATE,
+    ),
+    gated(
+        "x22",
+        "X22 flight-recorder telemetry (extension)",
+        x22_telemetry::run,
+        &x22_telemetry::GATE,
+    ),
+    gated(
+        "x23",
+        "X23 sharded engine: throughput & replay identity (extension)",
+        x23_shard::run,
+        &x23_shard::GATE,
+    ),
+    gated(
+        "x24",
+        "X24 large-m scale-out: hub-of-hubs & O(1) metadata (extension)",
+        x24_scale::run,
+        &x24_scale::GATE,
+    ),
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn repo_file(name: &str) -> String {
+        let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// Ids are `x1`…`x24` in suite order and the titles are, byte for
+    /// byte, the banners of the committed `experiments_output.txt`.
+    #[test]
+    fn registry_ids_and_titles_are_the_suite_order() {
+        let ids: Vec<String> = (1..=24).map(|n| format!("x{n}")).collect();
+        assert_eq!(REGISTRY.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
+        let committed = repo_file("experiments_output.txt");
+        let banners: Vec<&str> = committed
+            .lines()
+            .filter_map(|l| l.strip_prefix("######## ")?.strip_suffix(" ########"))
+            .collect();
+        assert_eq!(
+            REGISTRY.iter().map(|e| e.title).collect::<Vec<_>>(),
+            banners
+        );
+    }
+
+    /// A gate naming a key its committed baseline lacks would silently
+    /// skip (timing) or fail only in `verify.sh` (structural).
+    #[test]
+    fn every_gate_names_only_keys_its_committed_baseline_has() {
+        for exp in REGISTRY {
+            let Some(gate) = exp.gate else { continue };
+            let baseline = Json::parse(&repo_file(gate.baseline)).expect(gate.baseline);
+            let section = match gate.section {
+                Some(key) => baseline.get(key).expect(key),
+                None => &baseline,
+            };
+            for (block, keys) in [("structural", gate.structural), ("timing", gate.timing)] {
+                for key in keys {
+                    assert!(
+                        crate::gate::path(section, &[block, key]).is_some(),
+                        "{}: {} has no {block}.{key}",
+                        exp.id,
+                        gate.baseline
+                    );
+                }
+            }
+        }
+    }
 }

@@ -5,28 +5,24 @@
 //! *and measurable*: it pins the deterministic shape of the canonical
 //! instrumented run (event/message/crossing counts), proves the interned
 //! `MetricId` fast path is observably identical to the string API, and —
-//! through the `exp_x18_perf` binary — measures counter-increment
-//! throughput, simulation events/sec, and the serial-vs-parallel wall
+//! through `exp x18` — measures counter-increment throughput,
+//! simulation events/sec, and the serial-vs-parallel wall
 //! time of the rest of the suite (every experiment but X18 itself),
 //! emitting the regression-gated `BENCH_PERF.json` baseline.
 //!
 //! The registry `run()` below prints only deterministic quantities, so
 //! `experiments_output.txt` stays byte-reproducible; wall-clock numbers
-//! live exclusively in the binary's measured table and JSON artifact.
+//! live exclusively in `exp x18`'s measured table and JSON artifact.
 
 use std::time::{Duration, Instant};
 
 use cmi_memory::{ProtocolKind, WorkloadSpec};
 use cmi_obs::{bench, Json, MetricsRegistry, ToJson};
 
+use crate::gate::{self, Gate};
 use crate::pool;
 use crate::presets::pair_world;
 use crate::table::Table;
-
-/// Timing fields are accepted within this factor of the committed
-/// baseline in either direction — generous enough for slow CI machines,
-/// tight enough to catch a hot path regressing by orders of magnitude.
-pub const TIMING_TOLERANCE: f64 = 32.0;
 
 /// Counter increments per measured iteration in the micro-bench.
 const INCS: u64 = 100_000;
@@ -89,7 +85,7 @@ pub fn run() -> String {
     out.push_str(&t.to_string());
     out.push_str(
         "wall-clock measurements (counter throughput, events/sec, serial vs\n\
-         parallel suite time) are emitted by `exp_x18_perf` into BENCH_PERF.json\n\
+         parallel suite time) are emitted by `exp x18` into BENCH_PERF.json\n\
          and regression-checked by scripts/verify.sh.\n",
     );
     out
@@ -99,12 +95,9 @@ pub fn run() -> String {
 /// cannot recurse) with `jobs` workers. Returns (wall time, byte
 /// length of the concatenated reports).
 fn time_suite(jobs: usize) -> (Duration, usize) {
-    let reg: Vec<_> = super::registry()
-        .into_iter()
-        .filter(|(name, _)| !name.starts_with("X18"))
-        .collect();
+    let reg: Vec<_> = super::REGISTRY.iter().filter(|e| e.id != "x18").collect();
     let t0 = Instant::now();
-    let reports = pool::run_indexed(reg.len(), jobs, |i| (reg[i].1)());
+    let reports = pool::run_indexed(reg.len(), jobs, |i| (reg[i].run)());
     let elapsed = t0.elapsed();
     (elapsed, reports.iter().map(String::len).sum())
 }
@@ -201,7 +194,7 @@ pub fn measure(parallel_jobs: usize, quick: bool) -> (String, Json) {
 
     // X23's scheduler-flood and shard-scaling fields live in the same
     // artifact (BENCH_PERF.json) so one file carries the whole perf
-    // baseline; `exp_x23_shard --check` gates the x23 fragment.
+    // baseline; `exp x23 --check` gates the x23 fragment.
     let (x23_table, x23_fragment) = super::x23_shard::measure(quick);
     out.push_str(&x23_table);
 
@@ -216,7 +209,7 @@ pub fn measure(parallel_jobs: usize, quick: bool) -> (String, Json) {
             Json::obj([
                 (
                     "suite_experiments",
-                    (super::registry().len() as u64).to_json(),
+                    (super::REGISTRY.len() as u64).to_json(),
                 ),
                 ("canonical_events", canonical_events.to_json()),
                 ("canonical_messages", canonical_messages.to_json()),
@@ -233,100 +226,45 @@ pub fn measure(parallel_jobs: usize, quick: bool) -> (String, Json) {
     (out, artifact)
 }
 
-/// Compares a freshly-measured artifact against the committed baseline:
-/// structural fields must match exactly; timing fields must agree within
-/// [`TIMING_TOLERANCE`] in either direction. Timing fields present in
-/// only one artifact (e.g. a `--quick` run against a full baseline) are
-/// skipped. Returns every violation found.
-pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let (Some(new_struct), Some(base_struct)) = (new.get("structural"), baseline.get("structural"))
-    else {
-        return Err(vec!["missing structural section".into()]);
-    };
-    for key in [
+/// X18's share of the baseline gate. `events_per_sec` is
+/// higher-is-better but rides the same ratio window.
+pub const GATE: Gate = Gate {
+    baseline: "BENCH_PERF.json",
+    section: None,
+    structural: &[
         "suite_experiments",
         "canonical_events",
         "canonical_messages",
         "canonical_crossings",
         "interning_agreement",
-    ] {
-        let (n, b) = (new_struct.get(key), base_struct.get(key));
-        if n.is_none() || b.is_none() {
-            errors.push(format!("structural field {key} missing"));
-        } else if n.map(Json::to_compact) != b.map(Json::to_compact) {
+    ],
+    timing: &[
+        "counter_inc_str_ns",
+        "counter_inc_id_ns",
+        "events_per_sec",
+        "suite_serial_ms",
+        "suite_parallel_ms",
+    ],
+    measure: |quick, jobs| measure(jobs.unwrap_or(4), quick),
+    extra: Some(speedup_rule),
+};
+
+/// CPU-aware speedup gate: on a multi-core machine the parallel suite
+/// pass must not be slower than serial. Single-CPU containers (where
+/// ~1.0 is physically expected) are exempt, so the 1-CPU caveat no
+/// longer hides real regressions on machines that could parallelize.
+fn speedup_rule(new: &Json, _baseline: &Json, errors: &mut Vec<String>) {
+    let parallelism = gate::recorded_parallelism(new);
+    if parallelism < 2 {
+        return;
+    }
+    if let Some(speedup) = gate::path(new, &["timing", "suite_speedup"]).and_then(Json::as_f64) {
+        if speedup < 1.0 {
             errors.push(format!(
-                "structural regression in {key}: baseline {} vs measured {}",
-                b.unwrap().to_compact(),
-                n.unwrap().to_compact()
+                "suite_speedup is {speedup:.2} on a {parallelism}-CPU machine — \
+                 the parallel runner regressed"
             ));
         }
-    }
-    if let (Some(new_timing), Some(base_timing)) = (new.get("timing"), baseline.get("timing")) {
-        for key in [
-            "counter_inc_str_ns",
-            "counter_inc_id_ns",
-            "suite_serial_ms",
-            "suite_parallel_ms",
-        ] {
-            let (Some(n), Some(b)) = (
-                new_timing.get(key).and_then(Json::as_f64),
-                base_timing.get(key).and_then(Json::as_f64),
-            ) else {
-                continue; // quick runs omit suite timings
-            };
-            if n <= 0.0 || b <= 0.0 {
-                errors.push(format!("non-positive timing in {key}"));
-                continue;
-            }
-            let ratio = n / b;
-            if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
-                errors.push(format!(
-                    "timing regression in {key}: baseline {b:.1} vs measured {n:.1} \
-                     (ratio {ratio:.2}, tolerance {TIMING_TOLERANCE}x)"
-                ));
-            }
-        }
-        // events_per_sec is higher-is-better; same ratio window.
-        if let (Some(n), Some(b)) = (
-            new_timing.get("events_per_sec").and_then(Json::as_f64),
-            base_timing.get("events_per_sec").and_then(Json::as_f64),
-        ) {
-            if n > 0.0 && b > 0.0 {
-                let ratio = n / b;
-                if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
-                    errors.push(format!(
-                        "throughput regression in events_per_sec: baseline {b:.0} vs \
-                         measured {n:.0} (ratio {ratio:.2})"
-                    ));
-                }
-            }
-        }
-        // CPU-aware speedup gate: on a multi-core machine the parallel
-        // suite pass must not be slower than serial. Single-CPU
-        // containers (where ~1.0 is physically expected) are exempt,
-        // so the 1-CPU caveat no longer hides real regressions on
-        // machines that could parallelize.
-        let parallelism = new
-            .get("structural")
-            .and_then(|s| s.get("available_parallelism"))
-            .and_then(Json::as_u64)
-            .unwrap_or(1);
-        if parallelism >= 2 {
-            if let Some(speedup) = new_timing.get("suite_speedup").and_then(Json::as_f64) {
-                if speedup < 1.0 {
-                    errors.push(format!(
-                        "suite_speedup is {speedup:.2} on a {parallelism}-CPU machine — \
-                         the parallel runner regressed"
-                    ));
-                }
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
@@ -342,41 +280,5 @@ mod tests {
     #[test]
     fn interning_agreement_holds() {
         assert!(interning_agrees());
-    }
-
-    #[test]
-    fn quick_measure_emits_structural_fields_and_self_checks() {
-        let (_, artifact) = measure(2, true);
-        assert!(artifact.get("structural").is_some());
-        assert!(artifact
-            .get("structural")
-            .and_then(|s| s.get("canonical_events"))
-            .and_then(Json::as_f64)
-            .is_some_and(|e| e > 0.0));
-        // An artifact always passes the check against itself.
-        assert!(check(&artifact, &artifact).is_ok());
-    }
-
-    #[test]
-    fn check_flags_structural_and_timing_regressions() {
-        let (_, artifact) = measure(2, true);
-        let tampered = Json::parse(
-            &artifact
-                .to_pretty()
-                .replace("\"canonical_events\"", "\"canonical_events_x\""),
-        )
-        .unwrap();
-        assert!(check(&tampered, &artifact).is_err(), "structural drift");
-
-        let slow = {
-            let mut s = artifact.to_pretty();
-            // Blow one timing field far past the tolerance window.
-            let key = "\"counter_inc_id_ns\":";
-            let at = s.find(key).unwrap() + key.len();
-            let end = s[at..].find(|c| c == ',' || c == '\n').unwrap() + at;
-            s.replace_range(at..end, " 1e15");
-            Json::parse(&s).unwrap()
-        };
-        assert!(check(&slow, &artifact).is_err(), "timing blowup");
     }
 }

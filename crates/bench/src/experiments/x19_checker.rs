@@ -10,19 +10,16 @@
 //! operations and records, per size, each engine's verdict and step
 //! count (deterministic, pinned in `experiments_output.txt`), plus
 //! injected-violation and non-write-distinct arms. Wall-clock numbers
-//! live exclusively in the `exp_x19_checker` binary, which emits the
-//! regression-gated `BENCH_CHECK.json` artifact, mirroring X18.
+//! live exclusively in `exp x19`, which emits the regression-gated
+//! `BENCH_CHECK.json` artifact, mirroring X18.
 
 use cmi_checker::{causal, litmus, CausalVerdict, CheckEngine};
 use cmi_obs::{bench, Json, ToJson};
 use cmi_sim::SplitMix64;
 use cmi_types::{History, OpRecord, ProcId, SimTime, SystemId, Value, VarId};
 
+use crate::gate::Gate;
 use crate::table::Table;
-
-/// Timing fields are accepted within this factor of the committed
-/// baseline in either direction (same window as X18).
-pub const TIMING_TOLERANCE: f64 = 32.0;
 
 /// Processes of the generated replicated store.
 pub const PROCS: u32 = 6;
@@ -232,7 +229,7 @@ pub fn run() -> String {
     out.push_str(&format!(
         "\nlitmus zoo parity (default engine vs exhaustive oracle): {}\n\
          wall-clock scaling (fast path vs exhaustive per size) is emitted by\n\
-         `exp_x19_checker` into BENCH_CHECK.json and regression-checked by\n\
+         `exp x19` into BENCH_CHECK.json and regression-checked by\n\
          scripts/verify.sh.\n",
         if parity {
             "agree on all histories"
@@ -377,18 +374,11 @@ pub fn measure(quick: bool) -> (String, Json) {
     (out, artifact)
 }
 
-/// Compares a freshly-measured artifact against the committed baseline:
-/// structural fields must match exactly; timing fields must agree
-/// within [`TIMING_TOLERANCE`] in either direction. Timing fields
-/// present in only one artifact (e.g. a `--quick` run against a full
-/// baseline) are skipped. Returns every violation found.
-pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let (Some(new_struct), Some(base_struct)) = (new.get("structural"), baseline.get("structural"))
-    else {
-        return Err(vec!["missing structural section".into()]);
-    };
-    for key in [
+/// X19's share of the baseline gate.
+pub const GATE: Gate = Gate {
+    baseline: "BENCH_CHECK.json",
+    section: None,
+    structural: &[
         "sizes",
         "procs",
         "vars",
@@ -398,53 +388,19 @@ pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
         "violations_detected",
         "fallback_off_fast_path",
         "litmus_parity",
-    ] {
-        let (n, b) = (new_struct.get(key), base_struct.get(key));
-        if n.is_none() || b.is_none() {
-            errors.push(format!("structural field {key} missing"));
-        } else if n.map(Json::to_compact) != b.map(Json::to_compact) {
-            errors.push(format!(
-                "structural regression in {key}: baseline {} vs measured {}",
-                b.unwrap().to_compact(),
-                n.unwrap().to_compact()
-            ));
-        }
-    }
-    if let (Some(new_timing), Some(base_timing)) = (new.get("timing"), baseline.get("timing")) {
-        for key in [
-            "fastpath_ms_100",
-            "fastpath_ms_1000",
-            "fastpath_ms_10000",
-            "fastpath_ms_100000",
-            "exhaustive_ms_100",
-            "exhaustive_ms_1000",
-            "exhaustive_ms_2000",
-        ] {
-            let (Some(n), Some(b)) = (
-                new_timing.get(key).and_then(Json::as_f64),
-                base_timing.get(key).and_then(Json::as_f64),
-            ) else {
-                continue; // quick runs omit the deep exhaustive field
-            };
-            if n <= 0.0 || b <= 0.0 {
-                errors.push(format!("non-positive timing in {key}"));
-                continue;
-            }
-            let ratio = n / b;
-            if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
-                errors.push(format!(
-                    "timing regression in {key}: baseline {b:.2} vs measured {n:.2} \
-                     (ratio {ratio:.2}, tolerance {TIMING_TOLERANCE}x)"
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
+    ],
+    timing: &[
+        "fastpath_ms_100",
+        "fastpath_ms_1000",
+        "fastpath_ms_10000",
+        "fastpath_ms_100000",
+        "exhaustive_ms_100",
+        "exhaustive_ms_1000",
+        "exhaustive_ms_2000",
+    ],
+    measure: |quick, _| measure(quick),
+    extra: None,
+};
 
 #[cfg(test)]
 mod tests {
@@ -491,47 +447,5 @@ mod tests {
             assert!(!causal::check(&h).is_causal());
             assert!(!causal::check_exhaustive(&h).is_causal());
         }
-    }
-
-    #[test]
-    fn x19_check_flags_structural_drift_and_accepts_self() {
-        // Hand-build a tiny artifact pair instead of running `measure`
-        // (which times 100k-op histories and belongs to release runs).
-        let artifact = Json::obj([
-            (
-                "structural",
-                Json::obj([
-                    ("sizes", Json::Arr(vec![100u64.to_json()])),
-                    ("procs", u64::from(PROCS).to_json()),
-                    ("vars", u64::from(VARS).to_json()),
-                    ("fast_all_causal", true.to_json()),
-                    ("fast_definitive", true.to_json()),
-                    ("exhaustive_agree_small", true.to_json()),
-                    ("violations_detected", 2u64.to_json()),
-                    ("fallback_off_fast_path", true.to_json()),
-                    ("litmus_parity", true.to_json()),
-                ]),
-            ),
-            ("timing", Json::obj([("fastpath_ms_100", 1.0f64.to_json())])),
-        ]);
-        assert!(check(&artifact, &artifact).is_ok());
-
-        let tampered = Json::parse(
-            &artifact
-                .to_pretty()
-                .replace("\"fast_definitive\"", "\"fast_definitive_x\""),
-        )
-        .unwrap();
-        assert!(check(&tampered, &artifact).is_err(), "structural drift");
-
-        let slow = {
-            let mut s = artifact.to_pretty();
-            let key = "\"fastpath_ms_100\":";
-            let at = s.find(key).unwrap() + key.len();
-            let end = s[at..].find(|c| c == ',' || c == '\n').unwrap() + at;
-            s.replace_range(at..end, " 1e9");
-            Json::parse(&s).unwrap()
-        };
-        assert!(check(&slow, &artifact).is_err(), "timing blowup");
     }
 }

@@ -11,9 +11,9 @@
 //! in `experiments_output.txt`), plus first-violation alerting arms and
 //! a faulted simulation arm (30 % frame loss over the reliable
 //! transport) on which the monitor must stay quiet. Wall-clock overhead
-//! numbers (online vs offline fast path) live exclusively in the
-//! `exp_x20_monitor` binary, which emits the regression-gated
-//! `BENCH_MONITOR.json` artifact, mirroring X18/X19.
+//! numbers (online vs offline fast path) live exclusively in
+//! `exp x20`, which emits the regression-gated `BENCH_MONITOR.json`
+//! artifact, mirroring X18/X19.
 
 use std::time::Duration;
 
@@ -24,11 +24,8 @@ use cmi_obs::{bench, Json, ToJson};
 use cmi_types::{History, ProcId, SystemId};
 
 use super::x19_checker::{causal_history, saturation_history, stale_read_history, PROCS, VARS};
+use crate::gate::Gate;
 use crate::table::Table;
-
-/// Timing fields are accepted within this factor of the committed
-/// baseline in either direction (same window as X18/X19).
-pub const TIMING_TOLERANCE: f64 = 32.0;
 
 /// The ops sweep (the offline fast path is re-timed on the same
 /// histories for the overhead ratio).
@@ -155,7 +152,7 @@ pub fn run() -> String {
     out.push_str(&format!(
         "\nfaulted arm (30% loss, reliable transport): monitor {} over {} live ops, \
          peak frontier {}\n\
-         online-vs-offline overhead per size is emitted by `exp_x20_monitor` into\n\
+         online-vs-offline overhead per size is emitted by `exp x20` into\n\
          BENCH_MONITOR.json and regression-checked by scripts/verify.sh.\n",
         if mon.is_clean() { "quiet" } else { "FIRED" },
         mon.ops_seen,
@@ -270,17 +267,11 @@ pub fn measure(quick: bool) -> (String, Json) {
     (out, artifact)
 }
 
-/// Compares a freshly-measured artifact against the committed baseline:
-/// structural fields must match exactly; timing fields must agree
-/// within [`TIMING_TOLERANCE`] in either direction. Returns every
-/// violation found.
-pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let (Some(new_struct), Some(base_struct)) = (new.get("structural"), baseline.get("structural"))
-    else {
-        return Err(vec!["missing structural section".into()]);
-    };
-    for key in [
+/// X20's share of the baseline gate.
+pub const GATE: Gate = Gate {
+    baseline: "BENCH_MONITOR.json",
+    section: None,
+    structural: &[
         "sizes",
         "procs",
         "vars",
@@ -290,52 +281,18 @@ pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
         "peak_state_sublinear",
         "overhead_ok",
         "faulted_quiet",
-    ] {
-        let (n, b) = (new_struct.get(key), base_struct.get(key));
-        if n.is_none() || b.is_none() {
-            errors.push(format!("structural field {key} missing"));
-        } else if n.map(Json::to_compact) != b.map(Json::to_compact) {
-            errors.push(format!(
-                "structural regression in {key}: baseline {} vs measured {}",
-                b.unwrap().to_compact(),
-                n.unwrap().to_compact()
-            ));
-        }
-    }
-    if let (Some(new_timing), Some(base_timing)) = (new.get("timing"), baseline.get("timing")) {
-        for key in [
-            "offline_ms_1000",
-            "offline_ms_10000",
-            "offline_ms_100000",
-            "online_ms_1000",
-            "online_ms_10000",
-            "online_ms_100000",
-        ] {
-            let (Some(n), Some(b)) = (
-                new_timing.get(key).and_then(Json::as_f64),
-                base_timing.get(key).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            if n <= 0.0 || b <= 0.0 {
-                errors.push(format!("non-positive timing in {key}"));
-                continue;
-            }
-            let ratio = n / b;
-            if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
-                errors.push(format!(
-                    "timing regression in {key}: baseline {b:.2} vs measured {n:.2} \
-                     (ratio {ratio:.2}, tolerance {TIMING_TOLERANCE}x)"
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
+    ],
+    timing: &[
+        "offline_ms_1000",
+        "offline_ms_10000",
+        "offline_ms_100000",
+        "online_ms_1000",
+        "online_ms_10000",
+        "online_ms_100000",
+    ],
+    measure: |quick, _| measure(quick),
+    extra: None,
+};
 
 #[cfg(test)]
 mod tests {
@@ -375,47 +332,5 @@ mod tests {
         assert!(mon.is_clean(), "{:?}", mon.violation);
         assert!(mon.ops_seen > 0, "tap must see the live ops");
         assert_eq!(mon.ops_checked, mon.ops_seen);
-    }
-
-    #[test]
-    fn x20_check_flags_structural_drift_and_accepts_self() {
-        // Hand-build a tiny artifact pair instead of running `measure`
-        // (which times 100k-op histories and belongs to release runs).
-        let artifact = Json::obj([
-            (
-                "structural",
-                Json::obj([
-                    ("sizes", Json::Arr(vec![100u64.to_json()])),
-                    ("procs", u64::from(PROCS).to_json()),
-                    ("vars", u64::from(VARS).to_json()),
-                    ("quiet_on_causal", true.to_json()),
-                    ("verdict_agreement", true.to_json()),
-                    ("violation_op_exact", true.to_json()),
-                    ("peak_state_sublinear", true.to_json()),
-                    ("overhead_ok", true.to_json()),
-                    ("faulted_quiet", true.to_json()),
-                ]),
-            ),
-            ("timing", Json::obj([("online_ms_1000", 1.0f64.to_json())])),
-        ]);
-        assert!(check(&artifact, &artifact).is_ok());
-
-        let tampered = Json::parse(
-            &artifact
-                .to_pretty()
-                .replace("\"overhead_ok\"", "\"overhead_ok_x\""),
-        )
-        .unwrap();
-        assert!(check(&tampered, &artifact).is_err(), "structural drift");
-
-        let slow = {
-            let mut s = artifact.to_pretty();
-            let key = "\"online_ms_1000\":";
-            let at = s.find(key).unwrap() + key.len();
-            let end = s[at..].find(|c| c == ',' || c == '\n').unwrap() + at;
-            s.replace_range(at..end, " 1e9");
-            Json::parse(&s).unwrap()
-        };
-        assert!(check(&slow, &artifact).is_err(), "timing blowup");
     }
 }

@@ -14,8 +14,8 @@
 //! Two arms mirror X20's alerting idiom: a composed schedule must
 //! replay byte-identically, and a stale read injected into a partitioned
 //! run's surviving history must fire at the exact closing op. Wall-clock
-//! numbers live exclusively in the `exp_x21_chaos` binary, which emits
-//! the regression-gated `BENCH_CHAOS.json` artifact.
+//! numbers live exclusively in `exp x21`, which emits the
+//! regression-gated `BENCH_CHAOS.json` artifact.
 
 use std::time::Duration;
 
@@ -26,11 +26,8 @@ use cmi_obs::{bench, Json, ToJson};
 use cmi_sim::{ChannelSpec, ChaosSpec, FaultSpec};
 use cmi_types::{OpRecord, ProcId, SimTime, Value, VarId};
 
+use crate::gate::Gate;
 use crate::table::Table;
-
-/// Timing fields are accepted within this factor of the committed
-/// baseline in either direction (same window as X18/X19/X20).
-pub const TIMING_TOLERANCE: f64 = 32.0;
 
 /// Topology axis of the sweep.
 pub const TOPOLOGIES: [&str; 3] = ["pair", "chain", "star"];
@@ -278,7 +275,7 @@ pub fn run() -> String {
     out.push_str(&format!(
         "stale read injected under partition: fired at op {at} (expected {expected}), \
          pattern {pattern}\n\
-         wall-clock numbers are emitted by `exp_x21_chaos` into BENCH_CHAOS.json\n\
+         wall-clock numbers are emitted by `exp x21` into BENCH_CHAOS.json\n\
          and regression-checked by scripts/verify.sh.\n"
     ));
     out
@@ -379,17 +376,11 @@ pub fn measure(quick: bool) -> (String, Json) {
     (t.to_string(), artifact)
 }
 
-/// Compares a freshly-measured artifact against the committed baseline:
-/// structural fields must match exactly; timing fields must agree
-/// within [`TIMING_TOLERANCE`] in either direction. Returns every
-/// violation found.
-pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let (Some(new_struct), Some(base_struct)) = (new.get("structural"), baseline.get("structural"))
-    else {
-        return Err(vec!["missing structural section".into()]);
-    };
-    for key in [
+/// X21's share of the baseline gate.
+pub const GATE: Gate = Gate {
+    baseline: "BENCH_CHAOS.json",
+    section: None,
+    structural: &[
         "topologies",
         "churn_cycles",
         "partition_ms",
@@ -401,45 +392,11 @@ pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
         "replay_identical",
         "composed_quiet",
         "stale_read_fires_at_closing_op",
-    ] {
-        let (n, b) = (new_struct.get(key), base_struct.get(key));
-        if n.is_none() || b.is_none() {
-            errors.push(format!("structural field {key} missing"));
-        } else if n.map(Json::to_compact) != b.map(Json::to_compact) {
-            errors.push(format!(
-                "structural regression in {key}: baseline {} vs measured {}",
-                b.unwrap().to_compact(),
-                n.unwrap().to_compact()
-            ));
-        }
-    }
-    if let (Some(new_timing), Some(base_timing)) = (new.get("timing"), baseline.get("timing")) {
-        for key in ["sweep_ms", "replay_ms"] {
-            let (Some(n), Some(b)) = (
-                new_timing.get(key).and_then(Json::as_f64),
-                base_timing.get(key).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            if n <= 0.0 || b <= 0.0 {
-                errors.push(format!("non-positive timing in {key}"));
-                continue;
-            }
-            let ratio = n / b;
-            if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
-                errors.push(format!(
-                    "timing regression in {key}: baseline {b:.2} vs measured {n:.2} \
-                     (ratio {ratio:.2}, tolerance {TIMING_TOLERANCE}x)"
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
+    ],
+    timing: &["sweep_ms", "replay_ms"],
+    measure: |quick, _| measure(quick),
+    extra: None,
+};
 
 #[cfg(test)]
 mod tests {
@@ -490,47 +447,5 @@ mod tests {
                 "{topology}"
             );
         }
-    }
-
-    #[test]
-    fn x21_check_flags_structural_drift_and_accepts_self() {
-        let artifact = Json::obj([
-            (
-                "structural",
-                Json::obj([
-                    ("topologies", Json::Arr(vec![Json::Str("pair".into())])),
-                    ("churn_cycles", Json::Arr(vec![1u64.to_json()])),
-                    ("partition_ms", Json::Arr(vec![20u64.to_json()])),
-                    ("loss", Json::Arr(vec![0.0f64.to_json()])),
-                    ("all_cells_causal", true.to_json()),
-                    ("delivered_positive", true.to_json()),
-                    ("sheds_under_pressure", true.to_json()),
-                    ("attach_resyncs", true.to_json()),
-                    ("replay_identical", true.to_json()),
-                    ("composed_quiet", true.to_json()),
-                    ("stale_read_fires_at_closing_op", true.to_json()),
-                ]),
-            ),
-            ("timing", Json::obj([("sweep_ms", 1.0f64.to_json())])),
-        ]);
-        assert!(check(&artifact, &artifact).is_ok());
-
-        let tampered = Json::parse(
-            &artifact
-                .to_pretty()
-                .replace("\"replay_identical\"", "\"replay_identical_x\""),
-        )
-        .unwrap();
-        assert!(check(&tampered, &artifact).is_err(), "structural drift");
-
-        let slow = {
-            let mut s = artifact.to_pretty();
-            let key = "\"sweep_ms\":";
-            let at = s.find(key).unwrap() + key.len();
-            let end = s[at..].find(|c| c == ',' || c == '\n').unwrap() + at;
-            s.replace_range(at..end, " 1e9");
-            Json::parse(&s).unwrap()
-        };
-        assert!(check(&slow, &artifact).is_err(), "timing blowup");
     }
 }

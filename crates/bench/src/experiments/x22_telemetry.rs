@@ -24,11 +24,8 @@ use cmi_memory::{ProtocolKind, WorkloadSpec};
 use cmi_obs::{bench, Json, TelemetryConfig, TimeSeries, ToJson, WatchKind, WatchdogSpec};
 use cmi_sim::ChaosSpec;
 
+use crate::gate::Gate;
 use crate::table::Table;
-
-/// Timing fields are accepted within this factor of the committed
-/// baseline in either direction (same window as X18-X21).
-pub const TIMING_TOLERANCE: f64 = 32.0;
 
 /// Sampling cadences swept in the deterministic report (virtual ms).
 pub const CADENCE_MS: [u64; 3] = [1, 2, 5];
@@ -205,7 +202,7 @@ pub fn run() -> String {
     let (on, off) = (overhead_run(true), overhead_run(false));
     out.push_str(&format!(
         "sampling adds no events: {} dispatched with telemetry on, {} off\n\
-         wall-clock overhead is emitted by `exp_x22_telemetry` into BENCH_TELEMETRY.json\n\
+         wall-clock overhead is emitted by `exp x22` into BENCH_TELEMETRY.json\n\
          and regression-checked by scripts/verify.sh.\n",
         events_of(&on),
         events_of(&off),
@@ -282,17 +279,11 @@ pub fn measure(quick: bool) -> (String, Json) {
     (table, artifact)
 }
 
-/// Compares a freshly-measured artifact against the committed baseline:
-/// structural fields must match exactly; timing fields (including the
-/// on/off overhead ratio) must agree within [`TIMING_TOLERANCE`] in
-/// either direction. Returns every violation found.
-pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let (Some(new_struct), Some(base_struct)) = (new.get("structural"), baseline.get("structural"))
-    else {
-        return Err(vec!["missing structural section".into()]);
-    };
-    for key in [
+/// X22's share of the baseline gate.
+pub const GATE: Gate = Gate {
+    baseline: "BENCH_TELEMETRY.json",
+    section: None,
+    structural: &[
         "cadence_ms",
         "sampled",
         "shed_burst",
@@ -300,45 +291,11 @@ pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
         "watchdog_fired_on_shed",
         "replay_identical",
         "event_counts_match",
-    ] {
-        let (n, b) = (new_struct.get(key), base_struct.get(key));
-        if n.is_none() || b.is_none() {
-            errors.push(format!("structural field {key} missing"));
-        } else if n.map(Json::to_compact) != b.map(Json::to_compact) {
-            errors.push(format!(
-                "structural regression in {key}: baseline {} vs measured {}",
-                b.unwrap().to_compact(),
-                n.unwrap().to_compact()
-            ));
-        }
-    }
-    if let (Some(new_timing), Some(base_timing)) = (new.get("timing"), baseline.get("timing")) {
-        for key in ["off_ms", "on_ms", "overhead_ratio"] {
-            let (Some(n), Some(b)) = (
-                new_timing.get(key).and_then(Json::as_f64),
-                base_timing.get(key).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            if n <= 0.0 || b <= 0.0 {
-                errors.push(format!("non-positive timing in {key}"));
-                continue;
-            }
-            let ratio = n / b;
-            if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
-                errors.push(format!(
-                    "timing regression in {key}: baseline {b:.2} vs measured {n:.2} \
-                     (ratio {ratio:.2}, tolerance {TIMING_TOLERANCE}x)"
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
+    ],
+    timing: &["off_ms", "on_ms", "overhead_ratio"],
+    measure: |quick, _| measure(quick),
+    extra: None,
+};
 
 #[cfg(test)]
 mod tests {
@@ -367,50 +324,5 @@ mod tests {
             events_of(&overhead_run(false)),
             "telemetry sampling must not schedule events"
         );
-    }
-
-    #[test]
-    fn x22_check_flags_structural_drift_and_accepts_self() {
-        let artifact = Json::obj([
-            (
-                "structural",
-                Json::obj([
-                    ("cadence_ms", Json::Arr(vec![1u64.to_json()])),
-                    ("sampled", true.to_json()),
-                    ("shed_burst", true.to_json()),
-                    ("recovery_after_heal", true.to_json()),
-                    ("watchdog_fired_on_shed", true.to_json()),
-                    ("replay_identical", true.to_json()),
-                    ("event_counts_match", true.to_json()),
-                ]),
-            ),
-            (
-                "timing",
-                Json::obj([
-                    ("off_ms", 1.0f64.to_json()),
-                    ("on_ms", 1.1f64.to_json()),
-                    ("overhead_ratio", 1.1f64.to_json()),
-                ]),
-            ),
-        ]);
-        assert!(check(&artifact, &artifact).is_ok());
-
-        let tampered = Json::parse(
-            &artifact
-                .to_pretty()
-                .replace("\"replay_identical\"", "\"replay_identical_x\""),
-        )
-        .unwrap();
-        assert!(check(&tampered, &artifact).is_err(), "structural drift");
-
-        let slow = {
-            let mut s = artifact.to_pretty();
-            let key = "\"on_ms\":";
-            let at = s.find(key).unwrap() + key.len();
-            let end = s[at..].find(|c| c == ',' || c == '\n').unwrap() + at;
-            s.replace_range(at..end, " 1e9");
-            Json::parse(&s).unwrap()
-        };
-        assert!(check(&slow, &artifact).is_err(), "timing blowup");
     }
 }

@@ -17,9 +17,9 @@
 //!   cannot show a speedup; the curve is still recorded).
 //!
 //! The registry `run()` prints only deterministic quantities;
-//! wall-clock numbers are emitted by `exp_x18_perf` (which embeds this
+//! wall-clock numbers are emitted by `exp x18` (which embeds this
 //! module's fields) into `BENCH_PERF.json` and gated by
-//! `exp_x23_shard --check` in scripts/verify.sh.
+//! `exp x23 --check` in scripts/verify.sh.
 
 use std::any::Any;
 use std::time::Duration;
@@ -30,17 +30,14 @@ use cmi_obs::{bench, Json, ToJson};
 use cmi_sim::chaos::ChaosSpec;
 use cmi_sim::{Actor, ActorId, Ctx, NetworkTag, RunLimit, SimBuilder};
 
+use crate::gate::{self, Gate};
 use crate::table::Table;
-
-/// Timing fields are accepted within this factor of the committed
-/// baseline in either direction — same window as X18.
-pub const TIMING_TOLERANCE: f64 = 32.0;
 
 /// The committed baseline must record at least this flood throughput:
 /// 2× the 848k events/sec the pre-PR-9 `BinaryHeap` engine committed in
 /// `BENCH_PERF.json`. The *measured* value is then compared to the
-/// baseline within [`TIMING_TOLERANCE`] so slow CI machines stay green
-/// while a silently lowered baseline cannot pass review.
+/// baseline within [`gate::TIMING_TOLERANCE`] so slow CI machines stay
+/// green while a silently lowered baseline cannot pass review.
 pub const FLOOD_FLOOR_EPS: f64 = 1_700_000.0;
 
 /// Timer-chain actors in the raw-engine flood.
@@ -210,15 +207,15 @@ pub fn run() -> String {
     out.push_str(&t.to_string());
     out.push_str(
         "wall-clock measurements (flood events/sec, shard-scaling curve) are\n\
-         embedded by `exp_x18_perf` into BENCH_PERF.json and regression-checked\n\
-         by `exp_x23_shard --check` in scripts/verify.sh.\n",
+         embedded by `exp x18` into BENCH_PERF.json and regression-checked\n\
+         by `exp x23 --check` in scripts/verify.sh.\n",
     );
     out
 }
 
 /// The X23 artifact fragment embedded under the `"x23"` key of
 /// `BENCH_PERF.json` by [`x18_perf::measure`](crate::experiments::x18_perf::measure)
-/// and checked by `exp_x23_shard --check`. Returns the human table and
+/// and checked by `exp x23 --check`. Returns the human table and
 /// the fragment.
 pub fn measure(quick: bool) -> (String, Json) {
     let mut out = String::new();
@@ -291,90 +288,74 @@ pub fn measure(quick: bool) -> (String, Json) {
     (out, fragment)
 }
 
-/// Checks a freshly measured X23 fragment against the committed
-/// `BENCH_PERF.json`: structural fields exact, timings within
-/// [`TIMING_TOLERANCE`], the committed flood floor at least
-/// [`FLOOD_FLOOR_EPS`], and — on machines with ≥ 2 CPUs — a measured
-/// shard speedup above 1.0. Both arguments are full artifacts; the X23
-/// fragment is read from their `"x23"` key.
-pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let (Some(new_x23), Some(base_x23)) = (new.get("x23"), baseline.get("x23")) else {
-        return Err(vec!["missing x23 section in artifact or baseline".into()]);
-    };
-    let (Some(new_struct), Some(base_struct)) =
-        (new_x23.get("structural"), base_x23.get("structural"))
-    else {
-        return Err(vec!["missing x23 structural section".into()]);
-    };
-    for key in ["flood_events", "shard_groups", "replay_identical"] {
-        let (n, b) = (new_struct.get(key), base_struct.get(key));
-        if n.is_none() || b.is_none() {
-            errors.push(format!("x23 structural field {key} missing"));
-        } else if n.map(Json::to_compact) != b.map(Json::to_compact) {
-            errors.push(format!(
-                "x23 structural regression in {key}: baseline {} vs measured {}",
-                b.unwrap().to_compact(),
-                n.unwrap().to_compact()
-            ));
-        }
-    }
-    if new_struct.get("replay_identical").and_then(Json::as_bool) != Some(true) {
-        errors.push("sharded replay no longer byte-identical to serial".into());
-    }
+/// [`measure`] wrapped the way `BENCH_PERF.json` carries the fragment,
+/// so `exp x23 --json` output and `--check` input share one shape.
+fn measure_wrapped(quick: bool) -> (String, Json) {
+    let (table, fragment) = measure(quick);
+    let parallelism = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1) as u64;
+    let artifact = Json::obj([
+        ("experiment", Json::Str("X23 sharded engine".into())),
+        (
+            "structural",
+            Json::obj([("available_parallelism", parallelism.to_json())]),
+        ),
+        ("x23", fragment),
+    ]);
+    (table, artifact)
+}
 
-    let (Some(new_timing), Some(base_timing)) = (new_x23.get("timing"), base_x23.get("timing"))
-    else {
-        return Err(vec!["missing x23 timing section".into()]);
-    };
-    // The committed baseline itself must clear the raised floor — a
-    // regenerated baseline cannot quietly lower it.
-    match base_timing
-        .get("flood_events_per_sec")
-        .and_then(Json::as_f64)
-    {
-        Some(eps) if eps >= FLOOD_FLOOR_EPS => {}
-        Some(eps) => errors.push(format!(
-            "committed flood baseline {eps:.0} events/sec is below the \
-             {FLOOD_FLOOR_EPS:.0} floor"
-        )),
-        None => errors.push("baseline missing flood_events_per_sec".into()),
-    }
-    for key in [
+/// X23's share of the baseline gate: the `"x23"` fragment of the
+/// committed `BENCH_PERF.json`.
+pub const GATE: Gate = Gate {
+    baseline: "BENCH_PERF.json",
+    section: Some("x23"),
+    structural: &["flood_events", "shard_groups", "replay_identical"],
+    timing: &[
         "flood_events_per_sec",
         "shard_wall_ms_1",
         "shard_wall_ms_2",
         "shard_wall_ms_4",
-    ] {
-        let (Some(n), Some(b)) = (
-            new_timing.get(key).and_then(Json::as_f64),
-            base_timing.get(key).and_then(Json::as_f64),
-        ) else {
+    ],
+    measure: |quick, _| measure_wrapped(quick),
+    extra: Some(shard_rules),
+};
+
+/// What only X23 asks on top of the shared rule: replay identity is
+/// true (not merely unchanged), every gated timing field is present on
+/// both sides, the committed flood floor is at least
+/// [`FLOOD_FLOOR_EPS`], and — on machines with ≥ 2 CPUs — the measured
+/// 2-shard run beats the 1-shard run.
+fn shard_rules(new: &Json, baseline: &Json, errors: &mut Vec<String>) {
+    let timing =
+        |artifact: &Json, key| gate::path(artifact, &["x23", "timing", key]).and_then(Json::as_f64);
+    if gate::path(new, &["x23", "structural", "replay_identical"]).and_then(Json::as_bool)
+        != Some(true)
+    {
+        errors.push("sharded replay no longer byte-identical to serial".into());
+    }
+    for key in GATE.timing {
+        if timing(new, key).is_none() || timing(baseline, key).is_none() {
             errors.push(format!("x23 timing field {key} missing"));
-            continue;
-        };
-        if n <= 0.0 || b <= 0.0 {
-            errors.push(format!("non-positive x23 timing in {key}"));
-            continue;
         }
-        let ratio = n / b;
-        if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
+    }
+    // The committed baseline itself must clear the raised floor — a
+    // regenerated baseline cannot quietly lower it.
+    if let Some(eps) = timing(baseline, "flood_events_per_sec") {
+        if eps < FLOOD_FLOOR_EPS {
             errors.push(format!(
-                "x23 timing regression in {key}: baseline {b:.1} vs measured {n:.1} \
-                 (ratio {ratio:.2}, tolerance {TIMING_TOLERANCE}x)"
+                "committed flood baseline {eps:.0} events/sec is below the \
+                 {FLOOD_FLOOR_EPS:.0} floor"
             ));
         }
     }
     // CPU-aware speedup gate: a 1-CPU container cannot show a speedup
     // (the curve is still recorded); with real parallelism available the
     // 2-shard run must actually beat the 1-shard run.
-    let parallelism = new
-        .get("structural")
-        .and_then(|s| s.get("available_parallelism"))
-        .and_then(Json::as_u64)
-        .unwrap_or(1);
+    let parallelism = gate::recorded_parallelism(new);
     if parallelism >= 2 {
-        match new_timing.get("shard_speedup_2").and_then(Json::as_f64) {
+        match timing(new, "shard_speedup_2") {
             Some(s) if s > 1.0 => {}
             Some(s) => errors.push(format!(
                 "shard_speedup_2 is {s:.2} on a {parallelism}-CPU machine — \
@@ -382,11 +363,6 @@ pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
             )),
             None => errors.push("x23 timing field shard_speedup_2 missing".into()),
         }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
@@ -408,46 +384,5 @@ mod tests {
         let (chaos_identical, schedule_len) = chaos_replay_identity();
         assert!(chaos_identical);
         assert!(schedule_len > 0);
-    }
-
-    #[test]
-    fn quick_measure_self_checks_and_flags_regressions() {
-        let (_, fragment) = measure(true);
-        let parallelism = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1) as u64;
-        let wrap = |frag: &Json| {
-            Json::obj([
-                (
-                    "structural",
-                    Json::obj([("available_parallelism", parallelism.to_json())]),
-                ),
-                ("x23", frag.clone()),
-            ])
-        };
-        let artifact = wrap(&fragment);
-        assert!(check(&artifact, &artifact).is_ok(), "self-check must pass");
-
-        // A lowered committed floor must be rejected even when the
-        // measured run matches it.
-        let lowered = Json::parse(&artifact.to_pretty().replace(
-            "\"flood_events_per_sec\":",
-            "\"flood_events_per_sec\": 1e5,\"was\":",
-        ));
-        if let Ok(lowered) = lowered {
-            assert!(
-                check(&artifact, &lowered).is_err(),
-                "lowered floor accepted"
-            );
-        }
-
-        // Structural drift must be rejected.
-        let tampered = Json::parse(
-            &artifact
-                .to_pretty()
-                .replace("\"flood_events\"", "\"flood_events_x\""),
-        )
-        .unwrap();
-        assert!(check(&tampered, &artifact).is_err(), "structural drift");
     }
 }

@@ -16,8 +16,8 @@
 //! stay quiet, the per-frame delivery condition must never fire, and
 //! frames shipped inside attach/resync windows must fall back to
 //! explicit clocks (`isp.frames_clocked`). Wall-clock numbers live
-//! exclusively in the `exp_x24_scale` binary, which emits the
-//! regression-gated `BENCH_X24.json` artifact.
+//! exclusively in `exp x24`, which emits the regression-gated
+//! `BENCH_X24.json` artifact.
 
 use std::time::Duration;
 
@@ -26,11 +26,8 @@ use cmi_memory::{ProtocolKind, WorkloadSpec};
 use cmi_obs::{bench, Json, ToJson};
 use cmi_sim::{ChannelSpec, ChaosSpec};
 
+use crate::gate::Gate;
 use crate::table::Table;
-
-/// Timing fields are accepted within this factor of the committed
-/// baseline in either direction (same window as X18–X23).
-pub const TIMING_TOLERANCE: f64 = 32.0;
 
 /// The m axis: every power of two from 2 to 256.
 pub const M_VALUES: [usize; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
@@ -219,7 +216,7 @@ pub fn run() -> String {
         "\nexplicit-clock fallback for comparison: {c4} B/frame at m=4, \
          {c64} B/frame at m=64 (3 + 8m, linear) — the steady-state O(1) \
          path stays at 9 B/frame for every m.\n\
-         wall-clock numbers are emitted by `exp_x24_scale` into BENCH_X24.json\n\
+         wall-clock numbers are emitted by `exp x24` into BENCH_X24.json\n\
          and regression-checked by scripts/verify.sh.\n"
     ));
     out
@@ -330,17 +327,11 @@ pub fn measure(quick: bool) -> (String, Json) {
     (t.to_string(), artifact)
 }
 
-/// Compares a freshly-measured artifact against the committed baseline:
-/// structural fields must match exactly; timing fields must agree
-/// within [`TIMING_TOLERANCE`] in either direction. Returns every
-/// violation found.
-pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let (Some(new_struct), Some(base_struct)) = (new.get("structural"), baseline.get("structural"))
-    else {
-        return Err(vec!["missing structural section".into()]);
-    };
-    for key in [
+/// X24's share of the baseline gate.
+pub const GATE: Gate = Gate {
+    baseline: "BENCH_X24.json",
+    section: None,
+    structural: &[
         "m_values",
         "fanout",
         "crossings_by_m",
@@ -355,45 +346,11 @@ pub fn check(new: &Json, baseline: &Json) -> Result<(), Vec<String>> {
         "meta_violations_zero",
         "churn_fallback_used",
         "churn_events_applied",
-    ] {
-        let (n, b) = (new_struct.get(key), base_struct.get(key));
-        if n.is_none() || b.is_none() {
-            errors.push(format!("structural field {key} missing"));
-        } else if n.map(Json::to_compact) != b.map(Json::to_compact) {
-            errors.push(format!(
-                "structural regression in {key}: baseline {} vs measured {}",
-                b.unwrap().to_compact(),
-                n.unwrap().to_compact()
-            ));
-        }
-    }
-    if let (Some(new_timing), Some(base_timing)) = (new.get("timing"), baseline.get("timing")) {
-        for key in ["sweep_ms", "largest_ms"] {
-            let (Some(n), Some(b)) = (
-                new_timing.get(key).and_then(Json::as_f64),
-                base_timing.get(key).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            if n <= 0.0 || b <= 0.0 {
-                errors.push(format!("non-positive timing in {key}"));
-                continue;
-            }
-            let ratio = n / b;
-            if !(1.0 / TIMING_TOLERANCE..=TIMING_TOLERANCE).contains(&ratio) {
-                errors.push(format!(
-                    "timing regression in {key}: baseline {b:.2} vs measured {n:.2} \
-                     (ratio {ratio:.2}, tolerance {TIMING_TOLERANCE}x)"
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
+    ],
+    timing: &["sweep_ms", "largest_ms"],
+    measure: |quick, _| measure(quick),
+    extra: None,
+};
 
 #[cfg(test)]
 mod tests {
@@ -430,50 +387,5 @@ mod tests {
     fn x24_clocked_fallback_grows_linearly_where_o1_stays_flat() {
         assert_eq!(clocked_bytes_per_frame(4), 3 + 8 * 4);
         assert_eq!(clocked_bytes_per_frame(16), 3 + 8 * 16);
-    }
-
-    #[test]
-    fn x24_check_flags_structural_drift_and_accepts_self() {
-        let artifact = Json::obj([
-            (
-                "structural",
-                Json::obj([
-                    ("m_values", Json::Arr(vec![2u64.to_json()])),
-                    ("fanout", 8u64.to_json()),
-                    ("crossings_by_m", Json::Arr(vec![4u64.to_json()])),
-                    ("crossings_closed_form_exact", true.to_json()),
-                    ("o1_bytes_per_frame_by_m", Json::Arr(vec![9u64.to_json()])),
-                    ("o1_overhead_flat", true.to_json()),
-                    ("steady_all_o1", true.to_json()),
-                    ("clocked_bytes_per_frame_m4", 35u64.to_json()),
-                    ("clocked_bytes_per_frame_m64", 515u64.to_json()),
-                    ("converge_us_by_m", Json::Arr(vec![1000u64.to_json()])),
-                    ("monitored_churn_causal", true.to_json()),
-                    ("meta_violations_zero", true.to_json()),
-                    ("churn_fallback_used", true.to_json()),
-                    ("churn_events_applied", true.to_json()),
-                ]),
-            ),
-            ("timing", Json::obj([("sweep_ms", 1.0f64.to_json())])),
-        ]);
-        assert!(check(&artifact, &artifact).is_ok());
-
-        let tampered = Json::parse(
-            &artifact
-                .to_pretty()
-                .replace("\"o1_overhead_flat\"", "\"o1_overhead_flat_x\""),
-        )
-        .unwrap();
-        assert!(check(&tampered, &artifact).is_err(), "structural drift");
-
-        let slow = {
-            let mut s = artifact.to_pretty();
-            let key = "\"sweep_ms\":";
-            let at = s.find(key).unwrap() + key.len();
-            let end = s[at..].find(|c| c == ',' || c == '\n').unwrap() + at;
-            s.replace_range(at..end, " 1e9");
-            Json::parse(&s).unwrap()
-        };
-        assert!(check(&slow, &artifact).is_err(), "timing blowup");
     }
 }

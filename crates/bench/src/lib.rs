@@ -1,7 +1,7 @@
-//! Shared harness utilities for the experiment binaries and Criterion
-//! benches: table rendering, world presets and result capture.
+//! The experiment suite and its harness: the experiment registry, the
+//! baseline gate, table rendering, world presets and the worker pool.
 //!
-//! Each binary in `src/bin/` regenerates one experiment from the
+//! `exp <id>` (`src/bin/exp.rs`) regenerates one experiment from the
 //! paper's evaluation (see `DESIGN.md` §6 and `EXPERIMENTS.md` for the
 //! index); this library keeps their output format uniform.
 
@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod gate;
 pub mod pool;
 pub mod presets;
 pub mod table;

@@ -4,7 +4,7 @@
 //! experiments concurrently: workers claim indices from a shared atomic
 //! counter and write their results into per-index slots, so the caller
 //! gets results back **in index order** regardless of which worker ran
-//! which item — the property that keeps `run_all --jobs N` output
+//! which item — the property that keeps `exp all --jobs N` output
 //! byte-identical to the serial run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -3,25 +3,21 @@
 //! and the serial run is byte-identical to the committed
 //! `experiments_output.txt`.
 
-use cmi_bench::experiments::{registry, run_all_jobs};
+use cmi_bench::experiments::{run_all_jobs, REGISTRY};
 use cmi_bench::pool;
 
 /// Fast smoke over the cheap experiments: the pooled runner produces
 /// the same bytes as a plain loop for several job counts.
 #[test]
 fn parallel_subset_matches_serial_bytes() {
-    let cheap: Vec<_> = registry()
-        .into_iter()
-        .filter(|(name, _)| {
-            ["X1 ", "X8 ", "X9 ", "X10 "]
-                .iter()
-                .any(|p| name.starts_with(p))
-        })
+    let cheap: Vec<_> = REGISTRY
+        .iter()
+        .filter(|exp| ["x1", "x8", "x9", "x10"].contains(&exp.id))
         .collect();
     assert_eq!(cheap.len(), 4, "expected the four cheap experiments");
-    let serial: Vec<String> = cheap.iter().map(|(_, f)| f()).collect();
+    let serial: Vec<String> = cheap.iter().map(|exp| (exp.run)()).collect();
     for jobs in [2, 4, 8] {
-        let parallel = pool::run_indexed(cheap.len(), jobs, |i| (cheap[i].1)());
+        let parallel = pool::run_indexed(cheap.len(), jobs, |i| (cheap[i].run)());
         assert_eq!(serial, parallel, "jobs={jobs} diverged from serial");
     }
 }
@@ -45,6 +41,6 @@ fn full_suite_parallel_and_committed_output_agree() {
     assert_eq!(
         serial, committed,
         "regenerated suite output diverged from committed experiments_output.txt \
-         (regenerate with ./target/release/run_all > experiments_output.txt)"
+         (regenerate with ./target/release/exp all > experiments_output.txt)"
     );
 }

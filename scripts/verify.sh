@@ -37,13 +37,16 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+# Reports, JSON artifacts and smoke-run outputs land here; CI uploads
+# the directory as is.
+mkdir -p "${ARTIFACT_DIR:-artifacts}"
+artifact_dir=$(cd "${ARTIFACT_DIR:-artifacts}" && pwd)
+
 echo "==> golden trace-format check (X17 lineage artifact)"
 # The Chrome trace-event export and the X17 JSON artifact are consumed
 # by external tooling (Perfetto, dashboards); pin their shape here so a
 # field rename cannot slip through.
-artifact_dir=$(mktemp -d)
-trap 'rm -rf "$artifact_dir"' EXIT
-./target/release/exp_x17_lineage --json "$artifact_dir/bench_x17.json" > "$artifact_dir/x17.txt"
+./target/release/exp x17 --json "$artifact_dir/bench_x17.json" > "$artifact_dir/x17.txt"
 for key in '"experiment"' '"direction_latencies_ns"' '"hop_latencies_ns"' \
            '"chrome_trace_events"' '"faulted_pair"'; do
     grep -q "$key" "$artifact_dir/bench_x17.json" \
@@ -57,40 +60,23 @@ echo "==> runner determinism (serial vs --jobs 8 vs committed output)"
 # catches a stale experiments_output.txt after any experiment change.
 cargo test --release -q -p cmi-bench --test runner_determinism -- --ignored
 
-echo "==> perf baseline check (X18 vs committed BENCH_PERF.json)"
-# Structural fields (event/message counts, interning agreement) must
-# match the committed baseline exactly; timing fields only within a
-# generous tolerance so slow CI machines stay green. --quick skips the
-# minutes-long suite sweep, whose timings are then not compared.
-./target/release/exp_x18_perf --quick --json "$artifact_dir/bench_perf.json" \
-    --check BENCH_PERF.json > "$artifact_dir/x18.txt"
-grep -q 'counter inc (MetricId)' "$artifact_dir/x18.txt" \
-    || { echo "FAIL: X18 report lost its throughput table" >&2; exit 1; }
-
-echo "==> checker baseline check (X19 vs committed BENCH_CHECK.json)"
-# Structural fields (sweep shape, fast-path definitiveness, violation
-# detection, fallback routing, litmus parity) must match the committed
-# baseline exactly; per-size wall times only within the tolerance
-# window. --quick skips the deep exhaustive timing point.
-./target/release/exp_x19_checker --quick --json "$artifact_dir/bench_check.json" \
-    --check BENCH_CHECK.json > "$artifact_dir/x19.txt"
-grep -q 'wall time per engine' "$artifact_dir/x19.txt" \
-    || { echo "FAIL: X19 report lost its scaling table" >&2; exit 1; }
-
-echo "==> monitor baseline check (X20 vs committed BENCH_MONITOR.json)"
-# Structural fields (quiet-on-causal, exact-op alerting, bounded state,
-# overhead gate, faulted-arm quietness) must match the committed
-# baseline exactly; per-size wall times only within the tolerance
-# window. --quick times one rep per size instead of a median of three.
-./target/release/exp_x20_monitor --quick --json "$artifact_dir/bench_monitor.json" \
-    --check BENCH_MONITOR.json > "$artifact_dir/x20.txt"
-grep -q 'first-violation alerting' "$artifact_dir/x20.txt" \
-    || { echo "FAIL: X20 report lost its alerting table" >&2; exit 1; }
+echo "==> baseline gates (X18-X24 vs the committed BENCH_*.json)"
+# One rule for every gated experiment (crates/bench/src/gate.rs, DESIGN.md
+# "Baseline gates"): structural fields must match the committed baseline
+# exactly, timing fields only within a generous tolerance so slow CI
+# machines stay green. --quick takes fewer reps and skips the slowest
+# timing points, which are then not compared.
+gated=$(./target/release/exp --gated)
+while read -r id baseline; do
+    echo "    $id vs $baseline"
+    ./target/release/exp "$id" --quick --json "$artifact_dir/bench_$id.json" \
+        --check "$baseline" > "$artifact_dir/$id.txt"
+done <<< "$gated"
 
 echo "==> live monitor smoke run (cmi-cli run --monitor on the faulty-link scenario)"
 # The CLI tap must produce a clean monitor summary on the reliable
 # faulted scenario: monitor block present, verdict causal, every op
-# checked. CI uploads the summary as an artifact.
+# checked.
 ./target/release/cmi-cli run crates/cli/scenarios/faulty_link.json --monitor \
     --json "$artifact_dir/monitor_run.json" > "$artifact_dir/monitor_smoke.txt"
 grep -q '^\[monitor\]' "$artifact_dir/monitor_smoke.txt" \
@@ -99,49 +85,22 @@ grep -q 'verdict: causal' "$artifact_dir/monitor_smoke.txt" \
     || { echo "FAIL: monitor not quiet on the reliable faulted scenario" >&2; exit 1; }
 grep -q '"monitor"' "$artifact_dir/monitor_run.json" \
     || { echo "FAIL: --json artifact lost its monitor block" >&2; exit 1; }
-mkdir -p artifacts && cp "$artifact_dir/monitor_smoke.txt" artifacts/monitor_smoke.txt
-
-echo "==> chaos baseline check (X21 vs committed BENCH_CHAOS.json)"
-# Structural fields (sweep axes, every-cell causality, delivered/shed
-# accounting, byte-identical replay, exact-op stale-read alerting) must
-# match the committed baseline exactly; wall times only within the
-# tolerance window. --quick times one rep instead of a median of three.
-./target/release/exp_x21_chaos --quick --json "$artifact_dir/bench_chaos.json" \
-    --check BENCH_CHAOS.json > "$artifact_dir/x21.txt"
-grep -q 'churn × partition × loss sweep' "$artifact_dir/x21.txt" \
-    || { echo "FAIL: X21 report lost its sweep table" >&2; exit 1; }
-grep -q 'replay byte-identical' "$artifact_dir/x21.txt" \
-    || { echo "FAIL: X21 composed chaos schedule no longer replays" >&2; exit 1; }
 
 echo "==> chaos smoke run (cmi-cli run --monitor on the churn scenario)"
 # Attach a detached system, ride out a seeded partition window, and the
 # surviving history must still be causal: monitor verdict causal with
-# monitor.violations == 0 in the JSON artifact. CI uploads the summary.
+# monitor.violations == 0 in the JSON artifact.
 ./target/release/cmi-cli run crates/cli/scenarios/chaos_churn.json --monitor \
     --json "$artifact_dir/chaos_run.json" > "$artifact_dir/chaos_smoke.txt"
 grep -q 'verdict: causal' "$artifact_dir/chaos_smoke.txt" \
     || { echo "FAIL: monitor not quiet on the chaos churn scenario" >&2; exit 1; }
 grep -q '"monitor.violations": 0' "$artifact_dir/chaos_run.json" \
     || { echo "FAIL: chaos run reported violations != 0" >&2; exit 1; }
-cp "$artifact_dir/chaos_smoke.txt" artifacts/chaos_smoke.txt
-
-echo "==> telemetry baseline check (X22 vs committed BENCH_TELEMETRY.json)"
-# Structural fields (shed burst + recovery visible in the timeline,
-# watchdog fired on the shed counter, byte-identical seeded replay,
-# sampling adds no engine events) must match the committed baseline
-# exactly; wall times and the on/off overhead ratio only within the
-# tolerance window. --quick times one rep instead of a median of five.
-./target/release/exp_x22_telemetry --quick --json "$artifact_dir/bench_telemetry.json" \
-    --check BENCH_TELEMETRY.json > "$artifact_dir/x22.txt"
-grep -q 'flight recorder over the X21 chaos regime' "$artifact_dir/x22.txt" \
-    || { echo "FAIL: X22 report lost its cadence table" >&2; exit 1; }
-grep -q 'seeded replay: timelines byte-identical' "$artifact_dir/x22.txt" \
-    || { echo "FAIL: X22 telemetry timeline no longer replays" >&2; exit 1; }
 
 echo "==> telemetry smoke run (cmi-cli run --telemetry-out on the churn scenario)"
 # The flight recorder must sample the chaos churn run (>= 1 timeline
 # sample behind the JSONL header) without tripping any watchdog: strict
-# mode would exit 4 on a spurious alert. CI uploads the timeline.
+# mode would exit 4 on a spurious alert.
 ./target/release/cmi-cli run crates/cli/scenarios/chaos_churn.json \
     --telemetry-every 2 --telemetry-strict \
     --telemetry-out "$artifact_dir/chaos_timeline.jsonl" > "$artifact_dir/telemetry_smoke.txt"
@@ -149,49 +108,22 @@ grep -q '^\[telemetry\]' "$artifact_dir/telemetry_smoke.txt" \
     || { echo "FAIL: --telemetry-every run lost its summary block" >&2; exit 1; }
 [ "$(wc -l < "$artifact_dir/chaos_timeline.jsonl")" -ge 2 ] \
     || { echo "FAIL: telemetry timeline has no samples" >&2; exit 1; }
-cp "$artifact_dir/chaos_timeline.jsonl" artifacts/chaos_timeline.jsonl
-
-echo "==> sharded-engine baseline check (X23 vs committed BENCH_PERF.json)"
-# Structural fields (flood event count, planned shard groups,
-# replay_identical) must match the committed baseline exactly, the
-# committed flood floor (>= 1.7M events/sec) must hold, and wall times
-# only within the tolerance window; the shard-speedup gate applies only
-# on multi-CPU machines. --quick times one rep instead of a median.
-./target/release/exp_x23_shard --quick --json "$artifact_dir/bench_x23.json" \
-    --check BENCH_PERF.json > "$artifact_dir/x23.txt"
-grep -q 'scheduler flood and shard scaling' "$artifact_dir/x23.txt" \
-    || { echo "FAIL: X23 report lost its flood table" >&2; exit 1; }
-grep -q 'serial == 1 == 2 == 4 shards' "$artifact_dir/x23.txt" \
-    || { echo "FAIL: X23 report lost its replay-identity table" >&2; exit 1; }
 
 echo "==> sharded smoke run (cmi-cli run --shards 2, bytes vs serial)"
 # The multi-core engine must be observably invisible: the islands
 # scenario (4 disjoint systems -> multiple shard groups) must print the
-# exact same bytes with --shards 2 as serially. CI uploads the report.
+# exact same bytes with --shards 2 as serially.
 ./target/release/cmi-cli run crates/cli/scenarios/islands.json \
     > "$artifact_dir/islands_serial.txt"
 ./target/release/cmi-cli run crates/cli/scenarios/islands.json --shards 2 \
     > "$artifact_dir/islands_shards2.txt"
 diff "$artifact_dir/islands_serial.txt" "$artifact_dir/islands_shards2.txt" \
     || { echo "FAIL: --shards 2 output diverged from serial" >&2; exit 1; }
-cp "$artifact_dir/islands_shards2.txt" artifacts/islands_shards2.txt
-
-echo "==> scale baseline check (X24 vs committed BENCH_X24.json)"
-# Structural fields (m = 2..256 sweep axes, closed-form crossing counts,
-# flat 9-byte O(1) frame metadata, all-O(1) steady state, monitored
-# churn causality, clocked-fallback usage) must match the committed
-# baseline exactly; wall times only within the tolerance window.
-# --quick times one rep instead of a median of three.
-./target/release/exp_x24_scale --quick --json "$artifact_dir/bench_x24.json" \
-    --check BENCH_X24.json > "$artifact_dir/x24.txt"
-grep -q 'shared IS) m-sweep' "$artifact_dir/x24.txt" \
-    || { echo "FAIL: X24 report lost its sweep table" >&2; exit 1; }
 
 echo "==> large-m churn smoke run (cmi-cli run --monitor on the m=64 hub scenario)"
 # A 64-system hub-of-hubs expanded from a topology_spec block rides out
 # seeded churn with the live monitor on: verdict causal, zero recorded
 # violations, and the per-frame O(1) delivery condition never fires.
-# CI uploads the summary.
 ./target/release/cmi-cli run crates/cli/scenarios/hub_churn.json --monitor \
     --json "$artifact_dir/hub_churn_run.json" > "$artifact_dir/hub_churn_smoke.txt"
 grep -q 'verdict: causal' "$artifact_dir/hub_churn_smoke.txt" \
@@ -203,14 +135,19 @@ grep -q '"monitor.violations": 0' "$artifact_dir/hub_churn_run.json" \
 if grep -q '"isp.meta_violations"' "$artifact_dir/hub_churn_run.json"; then
     echo "FAIL: hub churn run tripped the frame delivery condition" >&2; exit 1
 fi
-cp "$artifact_dir/hub_churn_smoke.txt" artifacts/hub_churn_smoke.txt
 
 echo "==> scheduler microbench artifact (heap vs calendar queue)"
 # bench_sched compares the pre-PR-9 binary heap against the calendar
 # queue at depths 10^2..10^6; the JSON dump rides along as an artifact.
-CMI_BENCH_JSON="$PWD/artifacts/bench_sched.json" \
+CMI_BENCH_JSON="$artifact_dir/bench_sched.json" \
     cargo bench -q -p cmi-bench --bench bench_sched > "$artifact_dir/bench_sched.txt"
 grep -q 'sched/calendar/1000000' "$artifact_dir/bench_sched.txt" \
     || { echo "FAIL: bench_sched lost its depth-10^6 case" >&2; exit 1; }
 
-echo "OK: offline build, tests, dependency audit, golden formats, runner determinism, perf, checker, monitor, chaos, telemetry, sharded-engine and scale baselines all passed"
+echo "==> repo benchmark smoke (benchmark/run.sh --quick)"
+# Every workload at ~1/20 size: all oracles, the result-schema check and
+# the byte-equivalence of the harness with the release cmi-cli built
+# above. Timings of a --quick run are not comparable and not gated.
+bash benchmark/run.sh --quick > "$artifact_dir/benchmark_quick.txt"
+
+echo "OK: offline build, tests, dependency audit, golden formats, runner determinism, X18-X24 baseline gates, CLI smoke runs and the benchmark smoke all passed"
