@@ -1,0 +1,272 @@
+//! Golden report bytes: the `--json` artifact of a fixed set of
+//! scenarios, hashed and compared against committed constants.
+//!
+//! Every run is a pure function of `(scenario text, seed)`, so a change
+//! that does not mean to move report bytes must leave every digest
+//! here untouched — the property the repo benchmark's `report_digest`
+//! checks at full size, made visible in `cargo test`. The scenarios are
+//! reduced-size versions of the four benchmark shapes (wide hub, deep
+//! pair, lossy monitored tree, disconnected islands on the serial and
+//! the sharded engine) plus every file under `crates/cli/scenarios/`.
+//!
+//! The path is the CLI's and the benchmark harness's: scenario text →
+//! `Scenario::from_json` → `validate` → build + run (`Scenario::run` /
+//! `run_sharded`) → `RunReport::to_json` with the `scenario` member
+//! prepended → `to_pretty() + "\n"`. No clock is read, and the two
+//! host-wall-clock members a report can carry stay out of the hash:
+//! `monitor.check_latency_ns` (monitored runs) is masked by
+//! `report_digest`, `telemetry.spans` (telemetry runs) is dropped from
+//! the artifact before it is serialized.
+
+use cmi::obs::{Json, ToJson};
+use cmi_cli::Scenario;
+
+/// The wall-clock member of a monitored run's report.
+const WALL_CLOCK_KEY: &str = "\"monitor.check_latency_ns\"";
+
+/// FNV-1a (64-bit) folded over `bytes` from state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Hash of `report` with the body of every `monitor.check_latency_ns`
+/// object skipped — the same function as `benchmark/src/digest.rs`, so a
+/// digest printed by `benchmark/run.sh` and one pinned here mean the
+/// same thing.
+fn report_digest(report: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut rest = report;
+    while let Some(at) = rest.find(WALL_CLOCK_KEY) {
+        let after_key = at + WALL_CLOCK_KEY.len();
+        // The histogram snapshot is a flat object of numbers: the first
+        // '}' after its '{' closes it.
+        let Some(open) = rest[after_key..].find('{').map(|i| after_key + i) else {
+            break;
+        };
+        let Some(close) = rest[open..].find('}').map(|i| open + i) else {
+            break;
+        };
+        h = fnv1a(h, &rest.as_bytes()[..=open]);
+        rest = &rest[close..];
+    }
+    fnv1a(h, rest.as_bytes())
+}
+
+/// The bytes `cmi-cli run <scenario> --json <file>` writes, on the
+/// serial engine or on the sharded one with `shards` worker threads,
+/// minus the wall-clock span profile of a telemetry run.
+fn report_bytes(text: &str, shards: Option<usize>) -> String {
+    let scenario = Scenario::from_json(text).expect("scenario parses");
+    scenario.validate().expect("scenario validates");
+    let report = match shards {
+        None => scenario.run(),
+        Some(n) => scenario.run_sharded(n),
+    }
+    .expect("scenario builds");
+    let mut artifact = report.to_json();
+    if let Json::Obj(members) = &mut artifact {
+        members.insert(0, ("scenario".to_string(), scenario.to_json()));
+        if let Some((_, Json::Obj(telemetry))) = members.iter_mut().find(|(k, _)| k == "telemetry")
+        {
+            telemetry.retain(|(k, _)| k != "spans");
+        }
+    }
+    artifact.to_pretty() + "\n"
+}
+
+/// Compares `(name, digest)` rows against `golden`; on any difference
+/// the panic message is the measured table in source form.
+fn assert_golden(what: &str, golden: &[(&str, u64)], measured: &[(String, u64)]) {
+    let same = golden.len() == measured.len()
+        && golden
+            .iter()
+            .zip(measured)
+            .all(|((gn, gd), (mn, md))| gn == mn && gd == md);
+    if same {
+        return;
+    }
+    let mut table = String::new();
+    for (name, digest) in measured {
+        let note = match golden.iter().find(|(n, _)| n == name) {
+            Some((_, d)) if d == digest => String::new(),
+            Some((_, d)) => format!(" // was 0x{d:016x}"),
+            None => " // new".to_string(),
+        };
+        table.push_str(&format!("    (\"{name}\", 0x{digest:016x}),{note}\n"));
+    }
+    panic!(
+        "report bytes moved. If that is intended, replace the rows of {what} in \
+         tests/golden_bytes.rs with:\n{table}"
+    );
+}
+
+/// `hub256_wide` at m = 32: shared-IS hub of hubs, one process per
+/// system, write-only.
+const HUB32_WIDE: &str = r#"{
+  "seed": 42,
+  "vars": 2,
+  "topology": "shared",
+  "topology_spec": {
+    "shape": "hub_of_hubs",
+    "systems": 32,
+    "fanout": 8,
+    "protocol": "ahamad",
+    "processes": 1,
+    "delay_ms": 2,
+    "reliable": { "rto_ms": 80 }
+  },
+  "workload": { "ops_per_proc": 3, "write_fraction": 1.0, "mean_gap_ms": 2 },
+  "checks": ["causal"]
+}"#;
+
+/// `pair_deep` at 60 ops per process: Ahamad×8 + Frontier×8 over one
+/// reliable link.
+const PAIR_DEEP_60: &str = r#"{
+  "seed": 42,
+  "vars": 8,
+  "systems": [
+    { "name": "A", "protocol": "ahamad", "processes": 8 },
+    { "name": "F", "protocol": "frontier", "processes": 8 }
+  ],
+  "links": [ { "a": 0, "b": 1, "delay_ms": 10, "reliable": { "rto_ms": 100 } } ],
+  "workload": { "ops_per_proc": 60, "write_fraction": 0.5, "mean_gap_ms": 2 },
+  "checks": ["causal"]
+}"#;
+
+/// `chaos_lossy` at 60 ops per process: the 4-system lossy tree, three
+/// seeded partitions, the online monitor live.
+const CHAOS_LOSSY_60: &str = r#"{
+  "seed": 42,
+  "vars": 6,
+  "systems": [
+    { "name": "S0", "protocol": "ahamad", "processes": 4 },
+    { "name": "S1", "protocol": "frontier", "processes": 4 },
+    { "name": "S2", "protocol": "ahamad", "processes": 4 },
+    { "name": "S3", "protocol": "frontier", "processes": 4 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 4,
+      "faults": { "drop": 0.05, "duplicate": 0.02, "corrupt": 0.02 },
+      "reliable": { "rto_ms": 30 } },
+    { "a": 1, "b": 2, "delay_ms": 4,
+      "faults": { "drop": 0.05, "duplicate": 0.02, "corrupt": 0.02 },
+      "reliable": { "rto_ms": 30 } },
+    { "a": 1, "b": 3, "delay_ms": 4,
+      "faults": { "drop": 0.05, "duplicate": 0.02, "corrupt": 0.02 },
+      "reliable": { "rto_ms": 30 } }
+  ],
+  "workload": { "ops_per_proc": 60, "write_fraction": 0.5, "mean_gap_ms": 4 },
+  "checks": ["causal"],
+  "monitor": true,
+  "chaos": {
+    "seed": 1234567,
+    "horizon_ms": 240,
+    "partitions": { "count": 3, "min_ms": 20, "max_ms": 120 }
+  }
+}"#;
+
+/// `islands_sharded` at 16 ops per process: four disconnected
+/// Ahamad×6 + Frontier×6 pairs.
+const ISLANDS_16: &str = r#"{
+  "seed": 42,
+  "vars": 8,
+  "systems": [
+    { "name": "A0", "protocol": "ahamad", "processes": 6 },
+    { "name": "F0", "protocol": "frontier", "processes": 6 },
+    { "name": "A1", "protocol": "ahamad", "processes": 6 },
+    { "name": "F1", "protocol": "frontier", "processes": 6 },
+    { "name": "A2", "protocol": "ahamad", "processes": 6 },
+    { "name": "F2", "protocol": "frontier", "processes": 6 },
+    { "name": "A3", "protocol": "ahamad", "processes": 6 },
+    { "name": "F3", "protocol": "frontier", "processes": 6 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 10, "reliable": { "rto_ms": 100 } },
+    { "a": 2, "b": 3, "delay_ms": 10, "reliable": { "rto_ms": 100 } },
+    { "a": 4, "b": 5, "delay_ms": 10, "reliable": { "rto_ms": 100 } },
+    { "a": 6, "b": 7, "delay_ms": 10, "reliable": { "rto_ms": 100 } }
+  ],
+  "workload": { "ops_per_proc": 16, "write_fraction": 0.5, "mean_gap_ms": 2 },
+  "checks": ["causal"]
+}"#;
+
+/// Digests of the reduced benchmark shapes.
+const GOLDEN_SHAPES: &[(&str, u64)] = &[
+    ("hub32_wide", 0x89dae739e74e8bf6),
+    ("pair_deep_60", 0x2c53dad8183b61df),
+    ("chaos_lossy_60", 0xe47746284df00062),
+    ("islands_16", 0x769c44a984b531c4),
+    ("islands_16 --shards 2", 0x769c44a984b531c4),
+];
+
+/// Digests of `crates/cli/scenarios/*.json`, in file-name order.
+const GOLDEN_CLI_SCENARIOS: &[(&str, u64)] = &[
+    ("chaos_churn.json", 0x3fc0f1a96fda5004),
+    ("dialup_tree.json", 0x7bcc410077c9fe09),
+    ("faulty_link.json", 0x9d420059457382e0),
+    ("hub_churn.json", 0xf811428d15de5cb4),
+    ("islands.json", 0xd97678bf389a331a),
+    ("lineage.json", 0x9f8afef741e8b503),
+    ("telemetry.json", 0x30dab8c70d8b7b6a),
+];
+
+#[test]
+fn reduced_benchmark_shapes_keep_their_report_bytes() {
+    let serial = |text| report_digest(&report_bytes(text, None));
+    let islands_serial = report_bytes(ISLANDS_16, None);
+    let islands_sharded = report_bytes(ISLANDS_16, Some(2));
+    assert!(
+        islands_serial == islands_sharded,
+        "the sharded engine's report bytes differ from the serial engine's"
+    );
+    let measured = [
+        ("hub32_wide", serial(HUB32_WIDE)),
+        ("pair_deep_60", serial(PAIR_DEEP_60)),
+        ("chaos_lossy_60", serial(CHAOS_LOSSY_60)),
+        ("islands_16", report_digest(&islands_serial)),
+        ("islands_16 --shards 2", report_digest(&islands_sharded)),
+    ]
+    .map(|(name, digest)| (name.to_string(), digest));
+    assert_golden("GOLDEN_SHAPES", GOLDEN_SHAPES, &measured);
+}
+
+#[test]
+fn committed_cli_scenarios_keep_their_report_bytes() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/cli/scenarios");
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("scenario directory exists")
+        .map(|entry| entry.expect("directory entry reads").file_name())
+        .map(|name| name.into_string().expect("scenario file names are UTF-8"))
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    names.sort();
+    let measured: Vec<(String, u64)> = names
+        .into_iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(format!("{dir}/{name}")).expect("scenario reads");
+            let digest = report_digest(&report_bytes(&text, None));
+            (name, digest)
+        })
+        .collect();
+    assert_golden("GOLDEN_CLI_SCENARIOS", GOLDEN_CLI_SCENARIOS, &measured);
+}
+
+#[test]
+fn digest_masks_the_wall_clock_histogram_and_nothing_else() {
+    let report = |latency_sum: u64, checked: u64| {
+        format!(
+            "{{\n  \"ops_checked\": {checked},\n  \"monitor.check_latency_ns\": {{\n    \
+             \"count\": 80,\n    \"sum\": {latency_sum}\n  }},\n  \"tail\": 1\n}}\n"
+        )
+    };
+    assert_eq!(
+        report_digest(&report(126_521, 80)),
+        report_digest(&report(9, 80))
+    );
+    assert_ne!(report_digest(&report(9, 80)), report_digest(&report(9, 81)));
+    assert_eq!(report_digest(""), 0xcbf2_9ce4_8422_2325);
+}
