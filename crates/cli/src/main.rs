@@ -16,6 +16,7 @@
 //! cmi-cli list                     # list experiment ids
 //! ```
 
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 use cmi_cli::{render_report, ChaosEntry, ChaosRateEntry, Scenario, TelemetryEntry, TopologyEntry};
@@ -29,29 +30,49 @@ const EXIT_WATCHDOG_ALERT: u8 = 4;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("experiments") => cmd_experiments(&args[1..]),
-        Some("list") => {
-            for (name, _) in cmi_bench::experiments::registry() {
-                println!("{name}");
-            }
-            ExitCode::SUCCESS
-        }
-        Some("--help" | "-h" | "help") | None => {
-            print_usage();
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
-            eprintln!("unknown command '{other}'");
-            print_usage();
+    // Everything the tool prints goes through this one writer, so a
+    // reader that goes away (`cmi-cli experiments | head -1`) ends the
+    // program quietly instead of panicking inside `println!`.
+    let mut out = io::stdout().lock();
+    let result = dispatch(&args, &mut out).and_then(|code| out.flush().map(|()| code));
+    match result {
+        Ok(code) => code,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn print_usage() {
-    println!(
+/// Runs the command `args` names, printing to `out`. An `Err` is a
+/// failed write to `out`; every other failure is reported on stderr and
+/// returned as an exit code.
+fn dispatch(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
+    match args.first().map(String::as_str) {
+        Some("run") => cmd_run(&args[1..], out),
+        Some("experiments") => cmd_experiments(&args[1..], out),
+        Some("list") => {
+            for (name, _) in cmi_bench::experiments::registry() {
+                writeln!(out, "{name}")?;
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+        Some("--help" | "-h" | "help") | None => {
+            print_usage(out)?;
+            Ok(ExitCode::SUCCESS)
+        }
+        Some(other) => {
+            eprintln!("unknown command '{other}'");
+            print_usage(out)?;
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+fn print_usage(out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "cmi-cli — interconnection of causal memory systems\n\n\
          USAGE:\n\
          \u{20}  cmi-cli run <scenario.json> [<scenario.json> …] [--jobs <n>]\n\
@@ -96,7 +117,7 @@ fn print_usage() {
          shape — chain, star, tree or hub_of_hubs over <m> uniform Ahamad\n\
          systems (scenario files can say the same with a topology_spec\n\
          block, which also picks protocol, processes and link settings)."
-    );
+    )
 }
 
 /// The value following `flag`, or an error if `flag` is present but the
@@ -324,7 +345,7 @@ fn run_one(path: &str, flags: &RunFlags) -> Result<RunOutput, String> {
     Ok(RunOutput::of(&scenario, &report))
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     let paths = positional_args(args);
     let Some(path) = paths.first() else {
         eprintln!(
@@ -332,7 +353,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
              [--json <report.json>] [--monitor] [--dump-history <out.json>] \
              [--dump-dot <out.dot>] [--trace-out <trace.json>]"
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let flags_or_err: Result<_, String> = (|| {
         Ok((
@@ -351,7 +372,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
     let telemetry_every_ms = match telemetry_every.map(|v| v.parse::<u64>()) {
@@ -359,7 +380,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Some(Ok(ms)) if ms >= 1 => Some(ms),
         Some(_) => {
             eprintln!("--telemetry-every requires a positive integer (virtual ms)");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let jobs = match jobs_arg.map(|v| v.parse::<usize>()) {
@@ -367,7 +388,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Some(Ok(n)) if n >= 1 => n,
         Some(_) => {
             eprintln!("--jobs requires a positive integer argument");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let shards = match shards_arg.map(|v| v.parse::<usize>()) {
@@ -375,21 +396,21 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Some(Ok(n)) if n >= 1 => n,
         Some(_) => {
             eprintln!("--shards requires a positive integer argument");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let chaos = match chaos_flags(args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let topology = match topology_flag(args) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let flags = RunFlags {
@@ -416,17 +437,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 "--json/--dump-history/--dump-dot/--trace-out/--telemetry-out \
                  apply to a single scenario; run them one at a time"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let results =
             cmi_bench::pool::run_indexed(paths.len(), jobs, |i| run_one(&paths[i], &flags));
         let mut failed = false;
         let mut outputs = Vec::new();
         for (path, result) in paths.iter().zip(results) {
-            println!("\n======== {path} ========");
+            writeln!(out, "\n======== {path} ========")?;
             match result {
                 Ok(output) => {
-                    print!("{}", output.rendered);
+                    write!(out, "{}", output.rendered)?;
                     outputs.push(output);
                 }
                 Err(e) => {
@@ -436,22 +457,22 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
         }
         if failed {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        return strict_exit(&flags, &outputs.iter().collect::<Vec<_>>());
+        return Ok(strict_exit(&flags, &outputs.iter().collect::<Vec<_>>()));
     }
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut scenario = match Scenario::from_json(&text) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if trace_out.is_some() {
@@ -462,7 +483,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     // membership/index checks must run again on the mutated scenario.
     if let Err(e) = scenario.validate() {
         eprintln!("{e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let run_result = if flags.shards > 1 {
         scenario.run_sharded(flags.shards)
@@ -473,56 +494,57 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let output = RunOutput::of(&scenario, &report);
-    print!("{}", output.rendered);
+    write!(out, "{}", output.rendered)?;
     if let Some(out_path) = json_out {
         let mut artifact = report.to_json();
         if let cmi_obs::Json::Obj(members) = &mut artifact {
             members.insert(0, ("scenario".to_string(), scenario.to_json()));
         }
         match std::fs::write(out_path, artifact.to_pretty() + "\n") {
-            Ok(()) => println!("JSON report written to {out_path}"),
+            Ok(()) => writeln!(out, "JSON report written to {out_path}")?,
             Err(e) => {
                 eprintln!("cannot write {out_path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if let Some(out_path) = dump {
         let history = report.global_history();
         match std::fs::write(out_path, history.to_json().to_pretty() + "\n") {
-            Ok(()) => println!("α^T written to {out_path}"),
+            Ok(()) => writeln!(out, "α^T written to {out_path}")?,
             Err(e) => {
                 eprintln!("cannot write {out_path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if let Some(dot_path) = dump_dot {
         let dot = cmi_checker::dot::to_dot(&report.global_history(), &[]);
         match std::fs::write(dot_path, dot) {
-            Ok(()) => println!("causal-order graph written to {dot_path}"),
+            Ok(()) => writeln!(out, "causal-order graph written to {dot_path}")?,
             Err(e) => {
                 eprintln!("cannot write {dot_path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if let Some(trace_path) = trace_out {
         let lin = report.lineage().expect("--trace-out enables lineage");
         match std::fs::write(trace_path, lin.to_chrome_trace().to_pretty() + "\n") {
-            Ok(()) => println!(
+            Ok(()) => writeln!(
+                out,
                 "Chrome trace ({} updates, {} events) written to {trace_path} — \
                  open with Perfetto (ui.perfetto.dev) or chrome://tracing",
                 lin.updates().len(),
                 lin.len()
-            ),
+            )?,
             Err(e) => {
                 eprintln!("cannot write {trace_path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -538,30 +560,31 @@ fn cmd_run(args: &[String]) -> ExitCode {
             (t.to_jsonl(), "JSONL timeline")
         };
         match std::fs::write(out_path, text) {
-            Ok(()) => println!(
+            Ok(()) => writeln!(
+                out,
                 "telemetry {kind} ({} samples, {} series) written to {out_path}",
                 t.sample_count(),
                 t.series_count()
-            ),
+            )?,
             Err(e) => {
                 eprintln!("cannot write {out_path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    strict_exit(&flags, &[&output])
+    Ok(strict_exit(&flags, &[&output]))
 }
 
-fn cmd_experiments(filters: &[String]) -> ExitCode {
+fn cmd_experiments(filters: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     for (name, runner) in cmi_bench::experiments::registry() {
         if filters.is_empty()
             || filters
                 .iter()
                 .any(|f| name.to_lowercase().contains(&f.to_lowercase()))
         {
-            println!("\n######## {name} ########");
-            print!("{}", runner());
+            writeln!(out, "\n######## {name} ########")?;
+            write!(out, "{}", runner())?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

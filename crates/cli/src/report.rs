@@ -2,7 +2,6 @@
 
 use cmi_checker::{cache, causal, linearizable, pram, sequential, session};
 use cmi_core::RunReport;
-use cmi_types::SystemId;
 
 use crate::scenario::Scenario;
 
@@ -30,18 +29,18 @@ pub fn render_report(scenario: &Scenario, report: &RunReport) -> String {
         metrics.longest_write_chain,
     ));
 
+    let system_names = scenario.system_names();
+    let alphas = report.system_histories();
     for check in &scenario.checks {
         out.push_str(&format!("\n[{check}]\n"));
         // The union.
         out.push_str(&format!("  α^T: {}\n", verdict_line(check, &global)));
         // Each constituent system (generated `S{i}` names when the
         // scenario expands a topology_spec).
-        for (k, name) in scenario.system_names().iter().enumerate() {
-            let alpha_k =
-                report.system_history(SystemId(u16::try_from(k).expect("system index fits u16")));
+        for (k, (name, alpha_k)) in system_names.iter().zip(&alphas).enumerate() {
             out.push_str(&format!(
                 "  α^{k} ({name}): {}\n",
-                verdict_line(check, &alpha_k)
+                verdict_line(check, alpha_k)
             ));
         }
     }
@@ -130,6 +129,7 @@ fn verdict_line(check: &str, history: &cmi_types::History) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmi_types::SystemId;
 
     #[test]
     fn report_renders_all_checks() {
@@ -153,5 +153,56 @@ mod tests {
         assert!(text.contains("[cache]"));
         assert!(text.contains("α^0 (A)"));
         assert!(text.contains("α^1 (B)"));
+    }
+
+    /// The check section as it was rendered before `system_histories`
+    /// existed: one `system_history(k)` filter per system and check.
+    fn check_section_by_filtering(scenario: &Scenario, report: &RunReport) -> String {
+        let global = report.global_history();
+        let mut out = String::new();
+        for check in &scenario.checks {
+            out.push_str(&format!("\n[{check}]\n"));
+            out.push_str(&format!("  α^T: {}\n", verdict_line(check, &global)));
+            for (k, name) in scenario.system_names().iter().enumerate() {
+                let alpha_k = report.system_history(SystemId(k as u16));
+                out.push_str(&format!(
+                    "  α^{k} ({name}): {}\n",
+                    verdict_line(check, &alpha_k)
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_split_equals_per_system_filtering_on_every_shipped_scenario() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            seen += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            let scenario = Scenario::from_json(&text).unwrap();
+            let report = scenario.run().unwrap();
+            let alphas = report.system_histories();
+            assert_eq!(alphas.len(), scenario.system_count(), "{path:?}");
+            for (k, alpha_k) in alphas.iter().enumerate() {
+                assert_eq!(
+                    alpha_k.as_slice(),
+                    report.system_history(SystemId(k as u16)).as_slice(),
+                    "{path:?}: α^{k}"
+                );
+            }
+            let rendered = render_report(&scenario, &report);
+            let expected = check_section_by_filtering(&scenario, &report);
+            assert!(
+                rendered.contains(&expected),
+                "{path:?}: rendered\n{rendered}\nexpected to contain\n{expected}"
+            );
+        }
+        assert!(seen >= 7, "scenario directory found: {seen} files");
     }
 }

@@ -191,3 +191,48 @@ fn flag_only_telemetry_needs_no_scenario_block() {
     let text = std::fs::read_to_string(&dest).expect("timeline written");
     assert!(text.contains("\"every_ns\":2000000"), "cadence: {text}");
 }
+
+/// Wide enough that a batch of runs prints several pipe buffers of
+/// text: 33 verdict lines under each of four checks.
+const WIDE: &str = r#"{
+  "seed": 5,
+  "vars": 2,
+  "topology": "shared",
+  "topology_spec": { "shape": "star", "systems": 32, "delay_ms": 2 },
+  "workload": { "ops_per_proc": 2, "write_fraction": 0.5, "mean_gap_ms": 2 },
+  "checks": ["causal", "pram", "session", "cache"]
+}"#;
+
+#[test]
+fn closed_stdout_pipe_is_a_quiet_exit_0() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    // `cmi-cli … | head -1`: the reader takes one line and goes away
+    // while the tool still has far more to print than a pipe holds.
+    let path = write_scenario("wide.json", WIDE);
+    let mut args = vec!["run"];
+    args.resize(1 + 24, path.to_str().unwrap());
+    let mut child = Command::new(BIN)
+        .args(&args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cmi-cli");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first_line = String::new();
+    stdout.read_line(&mut first_line).expect("read one line");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for cmi-cli");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a vanished reader is not an error: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "and not worth a message: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -36,7 +36,7 @@ use cmi_types::{OpRecord, ProcId, SimTime, SystemId};
 use crate::actor::{AddressBook, WorldActor, CRASH_TIMER, POKE_TIMER, RECOVER_TIMER};
 use crate::isp::{IsProcess, IsVariant, LinkEnd};
 use crate::msg::WorldMsg;
-use crate::report::{LinkTraffic, RunReport};
+use crate::report::{visibility_of, LinkTraffic, RunReport};
 use crate::spec::{BuildError, IsTopology, LinkSpec, SystemHandle, SystemSpec};
 
 /// A system as realized in a built world.
@@ -1291,8 +1291,11 @@ pub(crate) fn assemble_report(extracts: Vec<WorldExtract>, system_names: Vec<Str
     }
     let full = cmi_types::History::merge_streams(streams);
 
-    // End-of-run latency histograms derived from the merged logs —
-    // observation order matches the serial extraction exactly.
+    // End-of-run histograms derived from the merged logs. Observations
+    // enter each histogram in an order fixed by the merged data alone —
+    // `responses` in process order, visibility in `global.writes()` ×
+    // `updates` process order — so however many shards produced the
+    // extracts, the registry comes out the same.
     if let Some((degraded_ns, depth)) = transport {
         metrics.add("isp.degraded_time_ns", degraded_ns);
         metrics.gauge_max("isp.send_queue_depth_max", depth as f64);
@@ -1306,15 +1309,11 @@ pub(crate) fn assemble_report(extracts: Vec<WorldExtract>, system_names: Vec<Str
     // cross-system direction (Section 6's "time until a value
     // written is visible in any other process").
     let global = full.filtered(|op| !isps.contains(&op.proc));
-    for id in global.writes() {
-        let op = global.op(id);
-        let val = op.written_value().expect("writes() returns writes");
-        let origin = system_of[&op.proc];
-        for (proc, log) in &updates {
-            let Some(u) = log.iter().find(|u| u.var == op.var && u.val == val) else {
-                continue;
-            };
-            let lat = u.at.saturating_since(op.at).as_nanos() as f64;
+    let visibility = visibility_of(&global, &updates);
+    for (id, wv) in global.writes().into_iter().zip(&visibility) {
+        let origin = system_of[&global.op(id).proc];
+        for (proc, at) in &wv.visible_at {
+            let lat = at.saturating_since(wv.issued_at).as_nanos() as f64;
             metrics.observe("visibility.latency_ns", lat);
             let dest = system_of[proc];
             if dest != origin {

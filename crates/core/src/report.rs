@@ -145,9 +145,27 @@ impl RunReport {
     /// The computation `α^k` of system `k`: operations of the system's
     /// application processes *and* its IS-processes (whose writes are
     /// the propagations `prop(op)` of remote writes).
+    ///
+    /// Each call filters the whole recording; a caller that wants every
+    /// `α^k` should split it once with
+    /// [`system_histories`](Self::system_histories).
     pub fn system_history(&self, system: SystemId) -> History {
         self.full
             .filtered(|op| self.system_of.get(&op.proc) == Some(&system))
+    }
+
+    /// Every `α^k` at once, indexed by system: one pass over the full
+    /// recording, each operation appended to its system's history in
+    /// recording order, so entry `k` equals
+    /// [`system_history(SystemId(k))`](Self::system_history).
+    pub fn system_histories(&self) -> Vec<History> {
+        let mut out = vec![History::new(); self.system_names.len()];
+        for op in self.full.iter() {
+            if let Some(system) = self.system_of.get(&op.proc) {
+                out[system.index()].record(*op);
+            }
+        }
+        out
     }
 
     /// `true` if `proc` is an IS-process.
@@ -299,7 +317,15 @@ impl RunReport {
         Json::obj(fields)
     }
 
-    /// Visibility analysis of every write in `α^T` (Section 6 latency).
+    /// Visibility analysis of every write in `α^T` (Section 6 latency),
+    /// one entry per write in the order of `α^T`.
+    ///
+    /// `visible_at` holds the *first* application of the written value
+    /// at each MCS-process: a later re-application of the same pair
+    /// (an attach resync, a duplicated frame) does not move it, and a
+    /// process that never applied the value has no entry. Recomputed on
+    /// every call from the replica-update logs, in O(total log length +
+    /// writes × processes).
     ///
     /// # Example
     ///
@@ -321,13 +347,70 @@ impl RunReport {
     /// # Ok::<(), cmi_core::BuildError>(())
     /// ```
     pub fn write_visibility(&self) -> Vec<WriteVisibility> {
-        let global = self.global_history();
+        visibility_of(&self.global_history(), &self.updates)
+    }
+}
+
+/// When each write of `global` was first applied at each process of
+/// `updates`: one entry per write, in `global.writes()` order, its
+/// `visible_at` in `updates` key order.
+///
+/// Each replica log is indexed once by `(variable, value)`, keeping the
+/// first application of a pair; the indexes are only ever looked up, so
+/// the result's order comes from `global` and the `BTreeMap`s alone.
+pub(crate) fn visibility_of(
+    global: &History,
+    updates: &BTreeMap<ProcId, Vec<ReplicaUpdate>>,
+) -> Vec<WriteVisibility> {
+    let first_applied: Vec<_> = updates
+        .iter()
+        .map(|(proc, log)| {
+            let mut first = HashMap::with_capacity(log.len());
+            for u in log {
+                first.entry((u.var, u.val)).or_insert(u.at);
+            }
+            (*proc, first)
+        })
+        .collect();
+    global
+        .writes()
+        .into_iter()
+        .map(|id| {
+            let op = global.op(id);
+            let val = op.written_value().expect("writes() returns writes");
+            WriteVisibility {
+                var: op.var,
+                val,
+                issued_at: op.at,
+                visible_at: first_applied
+                    .iter()
+                    .filter_map(|(proc, first)| Some((*proc, *first.get(&(op.var, val))?)))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmi_sim::rng::SplitMix64;
+    use cmi_types::OpRecord;
+    use std::time::Duration;
+
+    /// The definition `visibility_of` must agree with: for every write
+    /// and every process, the first entry of the process's log (in log
+    /// order) that carries the written pair.
+    fn visibility_by_scan(
+        global: &History,
+        updates: &BTreeMap<ProcId, Vec<ReplicaUpdate>>,
+    ) -> Vec<WriteVisibility> {
         let mut out = Vec::new();
         for id in global.writes() {
             let op = global.op(id);
             let val = op.written_value().expect("writes() returns writes");
             let mut visible_at = BTreeMap::new();
-            for (proc, log) in &self.updates {
+            for (proc, log) in updates {
                 if let Some(u) = log.iter().find(|u| u.var == op.var && u.val == val) {
                     visible_at.insert(*proc, u.at);
                 }
@@ -341,12 +424,84 @@ impl RunReport {
         }
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Duration;
+    #[test]
+    fn visibility_of_agrees_with_a_linear_scan_on_random_logs() {
+        let sys = SystemId(0);
+        let apps: Vec<ProcId> = (0..3).map(|i| ProcId::new(sys, i)).collect();
+        let isp = ProcId::new(sys, 3);
+        let (mut repeated, mut missing, mut isp_only) = (0, 0, 0);
+        for seed in 0..50 {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut global = History::new();
+            let mut updates: BTreeMap<ProcId, Vec<ReplicaUpdate>> = BTreeMap::new();
+            for step in 0..40u32 {
+                let writer = apps[rng.gen_range(0..apps.len())];
+                let var = VarId(rng.gen_range(0..3u32));
+                let at = SimTime::from_millis(u64::from(step) * 10);
+                if rng.gen_bool(0.3) {
+                    global.record(OpRecord::read(writer, var, None, at));
+                    continue;
+                }
+                let val = Value::new(writer, step);
+                global.record(OpRecord::write(writer, var, val, at));
+                for &proc in apps.iter().chain([&isp]) {
+                    // (ii) some processes never apply the write.
+                    if rng.gen_bool(0.2) {
+                        missing += 1;
+                        continue;
+                    }
+                    let log = updates.entry(proc).or_default();
+                    let applied = |ms| ReplicaUpdate {
+                        var,
+                        val,
+                        writer,
+                        at: SimTime::from_millis(ms),
+                    };
+                    log.push(applied(rng.gen_range(0..1000u64)));
+                    // (i) the same pair applied again at another time,
+                    // earlier or later: the first log entry still wins.
+                    if rng.gen_bool(0.3) {
+                        repeated += 1;
+                        log.push(applied(rng.gen_range(1000..2000u64)));
+                    }
+                }
+                // (iii) the IS-process's own propagated write: applied
+                // everywhere, but no operation of `global`.
+                if rng.gen_bool(0.3) {
+                    isp_only += 1;
+                    let prop = ReplicaUpdate {
+                        var,
+                        val: Value::new(isp, step),
+                        writer: isp,
+                        at,
+                    };
+                    for &proc in apps.iter().chain([&isp]) {
+                        updates.entry(proc).or_default().push(prop);
+                    }
+                }
+            }
+            // Log order is not time order.
+            for log in updates.values_mut() {
+                rng.shuffle(log);
+            }
+            let indexed = visibility_of(&global, &updates);
+            let scanned = visibility_by_scan(&global, &updates);
+            let fields =
+                |wv: &WriteVisibility| (wv.var, wv.val, wv.issued_at, wv.visible_at.clone());
+            assert_eq!(
+                indexed.iter().map(fields).collect::<Vec<_>>(),
+                scanned.iter().map(fields).collect::<Vec<_>>(),
+                "seed {seed}"
+            );
+            assert_eq!(indexed.len(), global.writes().len());
+            assert!(indexed.iter().all(|wv| wv.val.origin() != isp));
+        }
+        assert!(
+            repeated > 0 && missing > 0 && isp_only > 0,
+            "every case occurred: {repeated} repeated, {missing} missing, {isp_only} IS-only"
+        );
+    }
 
     #[test]
     fn write_visibility_latency_math() {

@@ -150,4 +150,19 @@ echo "==> repo benchmark smoke (benchmark/run.sh --quick)"
 # above. Timings of a --quick run are not comparable and not gated.
 bash benchmark/run.sh --quick > "$artifact_dir/benchmark_quick.txt"
 
-echo "OK: offline build, tests, dependency audit, golden formats, runner determinism, X18-X24 baseline gates, CLI smoke runs and the benchmark smoke all passed"
+echo "==> full-size report digests (benchmark/run.sh vs scripts/report_digests.txt)"
+# The driver judges a PR by these bytes: each committed (workload, seed)
+# row must print its committed report_digest with every oracle passing.
+: > "$artifact_dir/benchmark_digests.txt"
+while read -r workload seed digest; do
+    echo "    $workload seed $seed"
+    # A failed oracle also fails run.sh; the result object says which.
+    run=$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --reps 3 --trace 0) || true
+    echo "$run" >> "$artifact_dir/benchmark_digests.txt"
+    echo "$run" | grep -q "^# .* report_digest $digest\$" \
+        || { echo "FAIL: $workload seed $seed: report_digest is not $digest" >&2; exit 1; }
+    echo "$run" | tail -n 1 | grep -q '"correct":true' \
+        || { echo "FAIL: $workload seed $seed: an oracle failed" >&2; exit 1; }
+done < <(grep -v '^#' scripts/report_digests.txt)
+
+echo "OK: offline build, tests, dependency audit, golden formats, runner determinism, X18-X24 baseline gates, CLI smoke runs, the benchmark smoke and the full-size report digests all passed"

@@ -81,12 +81,11 @@ fn report_bytes(text: &str, shards: Option<usize>) -> String {
 /// Compares `(name, digest)` rows against `golden`; on any difference
 /// the panic message is the measured table in source form.
 fn assert_golden(what: &str, golden: &[(&str, u64)], measured: &[(String, u64)]) {
-    let same = golden.len() == measured.len()
-        && golden
-            .iter()
-            .zip(measured)
-            .all(|((gn, gd), (mn, md))| gn == mn && gd == md);
-    if same {
+    if measured
+        .iter()
+        .map(|(name, digest)| (name.as_str(), *digest))
+        .eq(golden.iter().copied())
+    {
         return;
     }
     let mut table = String::new();
