@@ -1,5 +1,6 @@
-//! Golden report bytes: the `--json` artifact of a fixed set of
-//! scenarios, hashed and compared against committed constants.
+//! Golden report bytes: the `--json` artifact and the rendered terminal
+//! text of a fixed set of scenarios, hashed and compared against
+//! committed constants.
 //!
 //! Every run is a pure function of `(scenario text, seed)`, so a change
 //! that does not mean to move report bytes must leave every digest
@@ -17,9 +18,15 @@
 //! `monitor.check_latency_ns` (monitored runs) is masked by
 //! `report_digest`, `telemetry.spans` (telemetry runs) is dropped from
 //! the artifact before it is serialized.
+//!
+//! `report_digest` hashes only the JSON; the text `cmi-cli run` prints
+//! (`cmi_cli::render_report`: the `concurrency: …% … longest causal
+//! write chain N` header, every `causal ✓ (N steps)` line) is pinned by
+//! `rendered_digest` over the same runs, minus the `[telemetry]` block's
+//! wall-clock `span …` lines.
 
 use cmi::obs::{Json, ToJson};
-use cmi_cli::Scenario;
+use cmi_cli::{render_report, Scenario};
 
 /// The wall-clock member of a monitored run's report.
 const WALL_CLOCK_KEY: &str = "\"monitor.check_latency_ns\"";
@@ -56,10 +63,28 @@ fn report_digest(report: &str) -> u64 {
     fnv1a(h, rest.as_bytes())
 }
 
-/// The bytes `cmi-cli run <scenario> --json <file>` writes, on the
-/// serial engine or on the sharded one with `shards` worker threads,
-/// minus the wall-clock span profile of a telemetry run.
-fn report_bytes(text: &str, shards: Option<usize>) -> String {
+/// Hash of the text `cmi-cli run` prints, with the wall-clock lines of
+/// a telemetry run's span profile (`  span <phase>: … ns total …`)
+/// skipped.
+fn rendered_digest(rendered: &str) -> u64 {
+    rendered
+        .split_inclusive('\n')
+        .filter(|line| !line.starts_with("  span "))
+        .fold(0xcbf2_9ce4_8422_2325, |h, line| fnv1a(h, line.as_bytes()))
+}
+
+/// What `cmi-cli run <scenario> --json <file>` writes and prints.
+struct Artifacts {
+    /// The `--json` file's bytes, minus the wall-clock span profile of
+    /// a telemetry run.
+    json: String,
+    /// The terminal text.
+    rendered: String,
+}
+
+/// Runs `text` on the serial engine or on the sharded one with `shards`
+/// worker threads.
+fn artifacts(text: &str, shards: Option<usize>) -> Artifacts {
     let scenario = Scenario::from_json(text).expect("scenario parses");
     scenario.validate().expect("scenario validates");
     let report = match shards {
@@ -67,6 +92,7 @@ fn report_bytes(text: &str, shards: Option<usize>) -> String {
         Some(n) => scenario.run_sharded(n),
     }
     .expect("scenario builds");
+    let rendered = render_report(&scenario, &report);
     let mut artifact = report.to_json();
     if let Json::Obj(members) = &mut artifact {
         members.insert(0, ("scenario".to_string(), scenario.to_json()));
@@ -75,7 +101,10 @@ fn report_bytes(text: &str, shards: Option<usize>) -> String {
             telemetry.retain(|(k, _)| k != "spans");
         }
     }
-    artifact.to_pretty() + "\n"
+    Artifacts {
+        json: artifact.to_pretty() + "\n",
+        rendered,
+    }
 }
 
 /// Compares `(name, digest)` rows against `golden`; on any difference
@@ -98,7 +127,7 @@ fn assert_golden(what: &str, golden: &[(&str, u64)], measured: &[(String, u64)])
         table.push_str(&format!("    (\"{name}\", 0x{digest:016x}),{note}\n"));
     }
     panic!(
-        "report bytes moved. If that is intended, replace the rows of {what} in \
+        "golden bytes moved. If that is intended, replace the rows of {what} in \
          tests/golden_bytes.rs with:\n{table}"
     );
 }
@@ -202,6 +231,15 @@ const GOLDEN_SHAPES: &[(&str, u64)] = &[
     ("islands_16 --shards 2", 0x769c44a984b531c4),
 ];
 
+/// Rendered-text digests of the reduced benchmark shapes.
+const GOLDEN_SHAPES_RENDERED: &[(&str, u64)] = &[
+    ("hub32_wide", 0x916364a4043b3fea),
+    ("pair_deep_60", 0xf5852ea716becbfa),
+    ("chaos_lossy_60", 0x6b6338668154c56d),
+    ("islands_16", 0x384cc9cfa950c45c),
+    ("islands_16 --shards 2", 0x384cc9cfa950c45c),
+];
+
 /// Digests of `crates/cli/scenarios/*.json`, in file-name order.
 const GOLDEN_CLI_SCENARIOS: &[(&str, u64)] = &[
     ("chaos_churn.json", 0x3fc0f1a96fda5004),
@@ -213,24 +251,64 @@ const GOLDEN_CLI_SCENARIOS: &[(&str, u64)] = &[
     ("telemetry.json", 0x30dab8c70d8b7b6a),
 ];
 
+/// `(name, report digest, rendered digest)` of one run.
+fn row(name: &str, run: &Artifacts) -> (String, u64, u64) {
+    (
+        name.to_string(),
+        report_digest(&run.json),
+        rendered_digest(&run.rendered),
+    )
+}
+
+/// Checks the JSON digests of `rows` against `golden_json` and the
+/// rendered-text digests against `golden_rendered`.
+fn assert_both(
+    rows: &[(String, u64, u64)],
+    (json_table, golden_json): (&str, &[(&str, u64)]),
+    (rendered_table, golden_rendered): (&str, &[(&str, u64)]),
+) {
+    let column = |pick: fn(&(String, u64, u64)) -> u64| -> Vec<(String, u64)> {
+        rows.iter().map(|r| (r.0.clone(), pick(r))).collect()
+    };
+    assert_golden(json_table, golden_json, &column(|r| r.1));
+    assert_golden(rendered_table, golden_rendered, &column(|r| r.2));
+}
+
+/// Rendered-text digests of `crates/cli/scenarios/*.json`.
+const GOLDEN_CLI_SCENARIOS_RENDERED: &[(&str, u64)] = &[
+    ("chaos_churn.json", 0x464fce88866f7aaf),
+    ("dialup_tree.json", 0x22f97c9ad2f45d35),
+    ("faulty_link.json", 0x07866cf0282031ca),
+    ("hub_churn.json", 0x0104284ccf14f672),
+    ("islands.json", 0xf2b1639228ece681),
+    ("lineage.json", 0xe6f02ac2f2c7001c),
+    ("telemetry.json", 0x0c864bc036449a8c),
+];
+
 #[test]
 fn reduced_benchmark_shapes_keep_their_report_bytes() {
-    let serial = |text| report_digest(&report_bytes(text, None));
-    let islands_serial = report_bytes(ISLANDS_16, None);
-    let islands_sharded = report_bytes(ISLANDS_16, Some(2));
+    let islands_serial = artifacts(ISLANDS_16, None);
+    let islands_sharded = artifacts(ISLANDS_16, Some(2));
     assert!(
-        islands_serial == islands_sharded,
+        islands_serial.json == islands_sharded.json,
         "the sharded engine's report bytes differ from the serial engine's"
     );
-    let measured = [
-        ("hub32_wide", serial(HUB32_WIDE)),
-        ("pair_deep_60", serial(PAIR_DEEP_60)),
-        ("chaos_lossy_60", serial(CHAOS_LOSSY_60)),
-        ("islands_16", report_digest(&islands_serial)),
-        ("islands_16 --shards 2", report_digest(&islands_sharded)),
-    ]
-    .map(|(name, digest)| (name.to_string(), digest));
-    assert_golden("GOLDEN_SHAPES", GOLDEN_SHAPES, &measured);
+    assert!(
+        islands_serial.rendered == islands_sharded.rendered,
+        "the sharded engine's rendered text differs from the serial engine's"
+    );
+    let rows = [
+        row("hub32_wide", &artifacts(HUB32_WIDE, None)),
+        row("pair_deep_60", &artifacts(PAIR_DEEP_60, None)),
+        row("chaos_lossy_60", &artifacts(CHAOS_LOSSY_60, None)),
+        row("islands_16", &islands_serial),
+        row("islands_16 --shards 2", &islands_sharded),
+    ];
+    assert_both(
+        &rows,
+        ("GOLDEN_SHAPES", GOLDEN_SHAPES),
+        ("GOLDEN_SHAPES_RENDERED", GOLDEN_SHAPES_RENDERED),
+    );
 }
 
 #[test]
@@ -243,15 +321,40 @@ fn committed_cli_scenarios_keep_their_report_bytes() {
         .filter(|name| name.ends_with(".json"))
         .collect();
     names.sort();
-    let measured: Vec<(String, u64)> = names
+    let rows: Vec<(String, u64, u64)> = names
         .into_iter()
         .map(|name| {
             let text = std::fs::read_to_string(format!("{dir}/{name}")).expect("scenario reads");
-            let digest = report_digest(&report_bytes(&text, None));
-            (name, digest)
+            row(&name, &artifacts(&text, None))
         })
         .collect();
-    assert_golden("GOLDEN_CLI_SCENARIOS", GOLDEN_CLI_SCENARIOS, &measured);
+    assert_both(
+        &rows,
+        ("GOLDEN_CLI_SCENARIOS", GOLDEN_CLI_SCENARIOS),
+        (
+            "GOLDEN_CLI_SCENARIOS_RENDERED",
+            GOLDEN_CLI_SCENARIOS_RENDERED,
+        ),
+    );
+}
+
+#[test]
+fn rendered_digest_skips_the_span_profile_and_nothing_else() {
+    let text = |total_ns: u64, steps: u64| {
+        format!(
+            "  α^T: causal ✓ ({steps} steps)\n\n[telemetry]\n  alerts: 0\n  \
+             span deliver: 539 calls, {total_ns} ns total, 540 ns avg\n"
+        )
+    };
+    assert_eq!(
+        rendered_digest(&text(291_586, 5436)),
+        rendered_digest(&text(7, 5436))
+    );
+    assert_ne!(
+        rendered_digest(&text(7, 5436)),
+        rendered_digest(&text(7, 5437))
+    );
+    assert_eq!(rendered_digest(""), 0xcbf2_9ce4_8422_2325);
 }
 
 #[test]
