@@ -303,8 +303,6 @@ struct ViewSearch<'a> {
     history: &'a History,
     /// Projection ops (ids into the full history), observation order.
     ops: Vec<OpId>,
-    /// Dense index within the projection, keyed by full-history index.
-    dense: HashMap<OpId, usize>,
     /// Inverted precedence adjacency: ops whose `unmet` count this op
     /// gates (the predecessor lists are folded into `unmet`/`succs` at
     /// construction).
@@ -328,7 +326,6 @@ impl<'a> ViewSearch<'a> {
     fn new(history: &'a History, co: &CausalOrder, proc: ProcId, budget: u64) -> Self {
         let proj = history.project_for(proc);
         let ops = proj.ops;
-        let dense: HashMap<OpId, usize> = ops.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
         for (i, &a) in ops.iter().enumerate() {
             for (j, &b) in ops.iter().enumerate() {
@@ -355,7 +352,6 @@ impl<'a> ViewSearch<'a> {
         ViewSearch {
             history,
             ops,
-            dense,
             succs,
             var_ix,
             m,
@@ -530,18 +526,6 @@ enum Dfs {
     Done,
     Fail,
     Budget,
-}
-
-// `dense` is kept for diagnostics/debug builds.
-impl fmt::Debug for ViewSearch<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ViewSearch")
-            .field("m", &self.m)
-            .field("scheduled", &self.view.len())
-            .field("steps", &self.steps)
-            .field("dense", &self.dense.len())
-            .finish()
-    }
 }
 
 #[cfg(test)]

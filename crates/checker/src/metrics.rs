@@ -5,9 +5,9 @@
 //! would make Theorem 1 vacuous, so X6 and the property suites want
 //! genuine concurrency in their inputs.
 
-use cmi_types::{History, OpId};
+use cmi_types::{History, ReadSource};
 
-use crate::order::CausalOrder;
+use crate::order::CausalClocks;
 
 /// Summary metrics of one computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +33,12 @@ pub struct HistoryMetrics {
 
 /// Computes the metrics for `history`.
 ///
+/// The two causal-order numbers are only defined on an acyclic `→→`
+/// (every computation the simulator records). On a cyclic one — a
+/// hand-built history where some read precedes its own source write —
+/// an operation on the cycle precedes itself, "concurrent" and "longest
+/// chain" mean nothing, and both are reported as `0`.
+///
 /// # Example
 ///
 /// ```
@@ -43,60 +49,156 @@ pub struct HistoryMetrics {
 /// assert_eq!(m.write_concurrency, 1.0); // the two writes are concurrent
 /// ```
 pub fn measure(history: &History) -> HistoryMetrics {
-    let co = CausalOrder::build(history);
-    let writes = history.writes();
-    let mut concurrent = 0usize;
-    let mut pairs = 0usize;
-    for (i, &a) in writes.iter().enumerate() {
-        for &b in &writes[i + 1..] {
-            pairs += 1;
-            if co.concurrent(a, b) {
-                concurrent += 1;
-            }
-        }
-    }
+    let reads_from = history.reads_from();
+    let writes = history.writes().len();
+    let pairs = writes * writes.saturating_sub(1) / 2;
+    let (ordered, longest_write_chain) = write_order(history, &reads_from).unwrap_or((pairs, 0));
     HistoryMetrics {
         ops: history.len(),
-        writes: writes.len(),
+        writes,
         reads: history.reads().len(),
         procs: history.procs().len(),
         vars: history.vars().len(),
         write_concurrency: if pairs == 0 {
             0.0
         } else {
-            concurrent as f64 / pairs as f64
+            (pairs - ordered) as f64 / pairs as f64
         },
-        longest_write_chain: longest_chain(&co, &writes),
-        initial_reads: history
-            .reads_from()
+        longest_write_chain,
+        initial_reads: reads_from
             .iter()
-            .filter(|s| matches!(s, Some(cmi_types::ReadSource::Initial)))
+            .filter(|s| matches!(s, Some(ReadSource::Initial)))
             .count(),
     }
 }
 
-/// Longest path (in edges) in the causal order restricted to `ops`,
-/// by dynamic programming over a topological iteration.
-fn longest_chain(co: &CausalOrder, ops: &[OpId]) -> usize {
-    // `ops` in a history are recorded in a linear extension of `→→`
-    // (time moves forward), so a single left-to-right DP pass suffices.
-    let mut depth = vec![0usize; ops.len()];
-    let mut best = 0;
-    for i in 0..ops.len() {
-        for j in 0..i {
-            if co.precedes(ops[j], ops[i]) {
-                depth[i] = depth[i].max(depth[j] + 1);
+/// `(causally ordered write pairs, longest write chain in edges)` from
+/// the vector clocks of `→→`, in `O(writes × processes)`; `None` if
+/// `→→` is cyclic.
+///
+/// For a write `b` with clock `vc`, the writes causally before it are,
+/// per process `q`, exactly the writes among `q`'s first `vc[q]`
+/// operations (minus `b` itself on its own chain) — a prefix count, and
+/// summing it over `b` counts every ordered pair once. The longest
+/// chain ending in `b` extends the longest chain ending in one of those
+/// predecessors, and along one process's chain depth never falls, so
+/// per process only the *last* write of the prefix can be the best: a
+/// DP over the clock pass's own topological order.
+fn write_order(history: &History, reads_from: &[Option<ReadSource>]) -> Option<(usize, usize)> {
+    let clocks = CausalClocks::build(history, reads_from);
+    if clocks.is_cyclic() {
+        return None;
+    }
+    // Per process: `before[k]` = writes among its first `k` ops, and the
+    // DP depth of each of its writes, in chain order.
+    let mut before: Vec<Vec<u32>> = Vec::with_capacity(clocks.np);
+    let mut depth: Vec<Vec<usize>> = Vec::with_capacity(clocks.np);
+    for chain in &clocks.chains {
+        let mut table = Vec::with_capacity(chain.len() + 1);
+        let mut count = 0u32;
+        table.push(count);
+        for &op in chain {
+            count += u32::from(history.op(op).kind.is_write());
+            table.push(count);
+        }
+        before.push(table);
+        depth.push(vec![0; count as usize]);
+    }
+
+    let (mut ordered, mut longest) = (0usize, 0usize);
+    for &b in &clocks.topo {
+        let b = b as usize;
+        if reads_from[b].is_some() {
+            continue; // a read
+        }
+        let own = clocks.pix[b] as usize;
+        let mut best = 0;
+        for (q, &seen) in clocks.clock(b).iter().enumerate() {
+            // `b`'s own lane counts `b` itself.
+            let preds = before[q][seen as usize] as usize - usize::from(q == own);
+            ordered += preds;
+            if preds > 0 {
+                best = best.max(depth[q][preds - 1] + 1);
             }
         }
-        best = best.max(depth[i]);
+        depth[own][before[own][clocks.cpos[b] as usize] as usize] = best;
+        longest = longest.max(best);
     }
-    best
+    Some((ordered, longest))
 }
+
+/// The seeded history generator of the integration tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmi_types::{OpRecord, ProcId, SimTime, SystemId, Value, VarId};
+    use crate::order::CausalOrder;
+    use cmi_types::{OpId, OpRecord, ProcId, SimTime, SystemId, Value, VarId};
+
+    /// `(write_concurrency, longest_write_chain)` as `measure` computed
+    /// them before the clocks: the bitset closure, every write pair
+    /// asked both ways, and a DP that only looks back in record order.
+    /// The oracle of the differential tests below; right only when the
+    /// history is recorded in a linear extension of `→→`.
+    fn by_closure(history: &History) -> (f64, usize) {
+        let co = CausalOrder::build(history);
+        let writes = history.writes();
+        let mut concurrent = 0usize;
+        let mut pairs = 0usize;
+        for (i, &a) in writes.iter().enumerate() {
+            for &b in &writes[i + 1..] {
+                pairs += 1;
+                if co.concurrent(a, b) {
+                    concurrent += 1;
+                }
+            }
+        }
+        let concurrency = if pairs == 0 {
+            0.0
+        } else {
+            concurrent as f64 / pairs as f64
+        };
+        (concurrency, longest_chain(&co, &writes))
+    }
+
+    /// Longest path (in edges) in the causal order restricted to `ops`,
+    /// by one left-to-right DP pass over record order.
+    fn longest_chain(co: &CausalOrder, ops: &[OpId]) -> usize {
+        let mut depth = vec![0usize; ops.len()];
+        let mut best = 0;
+        for i in 0..ops.len() {
+            for j in 0..i {
+                if co.precedes(ops[j], ops[i]) {
+                    depth[i] = depth[i].max(depth[j] + 1);
+                }
+            }
+            best = best.max(depth[i]);
+        }
+        best
+    }
+
+    /// Every read's source write was recorded before it: with program
+    /// order, that makes record order a linear extension of `→→`.
+    fn recorded_in_causal_order(history: &History) -> bool {
+        (history.reads_from().iter().enumerate())
+            .all(|(i, src)| !matches!(src, Some(ReadSource::Write(w)) if w.index() >= i))
+    }
+
+    fn assert_agrees_with_closure(history: &History, what: &str) {
+        assert!(recorded_in_causal_order(history), "{what}");
+        let m = measure(history);
+        let (concurrency, chain) = by_closure(history);
+        assert_eq!(
+            m.write_concurrency.to_bits(),
+            concurrency.to_bits(),
+            "{what}: {} vs {concurrency}",
+            m.write_concurrency
+        );
+        assert_eq!(m.longest_write_chain, chain, "{what}");
+    }
 
     fn p(i: u16) -> ProcId {
         ProcId::new(SystemId(0), i)
@@ -160,5 +262,78 @@ mod tests {
         // w0 →→ w1 through p1's read.
         assert_eq!(m.write_concurrency, 0.0);
         assert_eq!(m.longest_write_chain, 1);
+    }
+
+    #[test]
+    fn chain_through_a_read_recorded_before_its_write() {
+        // r(p1,x)v ; w(p1,y)u ; w(p0,x)v — the chain
+        // w(x)v →→ r(x)v →→ w(y)u has one edge between writes, though
+        // the later write of the chain is recorded first.
+        let mut h = History::new();
+        let v = Value::new(p(0), 1);
+        h.record(OpRecord::read(p(1), VarId(0), Some(v), t(1)));
+        h.record(OpRecord::write(p(1), VarId(1), Value::new(p(1), 1), t(2)));
+        h.record(OpRecord::write(p(0), VarId(0), v, t(3)));
+        assert!(!recorded_in_causal_order(&h));
+        let m = measure(&h);
+        assert_eq!(m.longest_write_chain, 1);
+        assert_eq!(m.write_concurrency, 0.0);
+        // The record-order DP misses it.
+        assert_eq!(by_closure(&h), (0.0, 0));
+    }
+
+    #[test]
+    fn cyclic_causal_order_measures_zero() {
+        // p0 reads v before writing it: r →→ w (program order) and
+        // w →→ r (writes-into). p1's two writes are ordered, but no
+        // causal-order number is reported for a history like this.
+        let mut h = History::new();
+        let v = Value::new(p(0), 1);
+        h.record(OpRecord::read(p(0), VarId(0), Some(v), t(1)));
+        h.record(OpRecord::write(p(0), VarId(0), v, t(2)));
+        h.record(OpRecord::write(p(1), VarId(1), Value::new(p(1), 1), t(3)));
+        h.record(OpRecord::write(p(1), VarId(1), Value::new(p(1), 2), t(4)));
+        assert!(CausalOrder::build(&h).is_cyclic());
+        let m = measure(&h);
+        assert_eq!((m.ops, m.writes, m.reads), (4, 3, 1));
+        assert_eq!(m.write_concurrency, 0.0);
+        assert_eq!(m.longest_write_chain, 0);
+    }
+
+    #[test]
+    fn clocks_agree_with_the_closure_on_seeded_causal_histories() {
+        let mut with_chain = 0;
+        let mut with_concurrency = 0;
+        for case in 0..600u64 {
+            let mut rng = cmi_sim::SplitMix64::seed_from_u64(0x3E7A ^ case);
+            let h = common::causal_history(&mut rng, 48);
+            assert_agrees_with_closure(&h, &format!("case {case}"));
+            let m = measure(&h);
+            with_chain += usize::from(m.longest_write_chain >= 2);
+            with_concurrency += usize::from(m.write_concurrency > 0.0);
+        }
+        // The generator exercises both numbers, not only their zeros.
+        assert!(with_chain >= 300, "{with_chain} histories with a chain");
+        assert!(
+            with_concurrency >= 100,
+            "{with_concurrency} with concurrency"
+        );
+    }
+
+    #[test]
+    fn clocks_agree_with_the_closure_on_every_shipped_scenario() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../cli/scenarios");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            seen += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            let report = cmi_cli::Scenario::from_json(&text).unwrap().run().unwrap();
+            assert_agrees_with_closure(&report.global_history(), &format!("{path:?}"));
+        }
+        assert!(seen >= 7, "scenario directory found: {seen} files");
     }
 }

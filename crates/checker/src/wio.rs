@@ -48,9 +48,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use cmi_types::{History, OpId, ProcId, ReadSource, VarId};
+use cmi_types::{History, OpId, ReadSource, VarId};
 
 use crate::causal::{CausalReport, CausalVerdict, CausalViolation, CheckEngine};
+use crate::order::{join_rows, CausalClocks};
 use crate::screen::BadPattern;
 
 /// Outcome of the fast path: the verdict, the named bad pattern (for
@@ -87,7 +88,29 @@ pub fn check(history: &History) -> CausalReport {
 /// first bad pattern found (scanning reads in operation order, like the
 /// screen) or a causal verdict.
 pub fn analyze(history: &History) -> FastOutcome {
-    Analysis::new(history).run()
+    let reads_from = history.reads_from();
+    // Thin-air reads make further causal reasoning moot.
+    let thin_air = |src: &Option<ReadSource>| matches!(src, Some(ReadSource::ThinAir));
+    if let Some(i) = reads_from.iter().position(thin_air) {
+        let read = OpId(i as u64);
+        return outcome(history, 0, Some(BadPattern::ThinAirRead { read }));
+    }
+    let clocks = CausalClocks::build(history, &reads_from);
+    if clocks.is_cyclic() {
+        return outcome(history, clocks.work, Some(BadPattern::CyclicCausalOrder));
+    }
+    Analysis::new(history, clocks, reads_from).run()
+}
+
+fn outcome(history: &History, steps: u64, pattern: Option<BadPattern>) -> FastOutcome {
+    FastOutcome {
+        verdict: match &pattern {
+            None => CausalVerdict::Causal,
+            Some(p) => CausalVerdict::NotCausal(violation_of(history, p)),
+        },
+        pattern,
+        steps,
+    }
 }
 
 fn violation_of(history: &History, pattern: &BadPattern) -> CausalViolation {
@@ -104,19 +127,13 @@ fn violation_of(history: &History, pattern: &BadPattern) -> CausalViolation {
     }
 }
 
-/// Working state shared by the analysis phases.
+/// Working state shared by the analysis phases, over an acyclic `→→`
+/// with no thin-air read.
 struct Analysis<'a> {
     history: &'a History,
-    n: usize,
-    /// Dense process table (BTreeMap order: deterministic).
-    procs: Vec<ProcId>,
-    np: usize,
-    /// Dense process index per op.
-    pix: Vec<u32>,
-    /// Position within the issuing process's full chain, per op.
-    cpos: Vec<u32>,
-    /// Per process, its ops in program order.
-    chains: Vec<Vec<OpId>>,
+    /// Causal-order clocks and the dense process/chain tables they are
+    /// indexed by.
+    clocks: CausalClocks,
     /// Resolved read sources (`None` for writes).
     reads_from: Vec<Option<ReadSource>>,
     /// Dense variable index.
@@ -124,142 +141,50 @@ struct Analysis<'a> {
     /// Per (variable, process): the process's writes to that variable as
     /// `(chain position, op)`, in chain order (so sorted by both).
     wvp: Vec<Vec<Vec<(u32, OpId)>>>,
-    /// Causal-order clocks, `vc[op·np + q]` = number of `q`'s ops
-    /// causally at-or-before `op`.
-    vc: Vec<u32>,
     steps: u64,
 }
 
 impl<'a> Analysis<'a> {
-    fn new(history: &'a History) -> Self {
-        let n = history.len();
-        let by_proc = history.by_process();
-        let procs: Vec<ProcId> = by_proc.keys().copied().collect();
-        let np = procs.len();
-        let chains: Vec<Vec<OpId>> = procs.iter().map(|p| by_proc[p].clone()).collect();
-        let mut pix = vec![0u32; n];
-        let mut cpos = vec![0u32; n];
-        for (q, chain) in chains.iter().enumerate() {
-            for (k, &op) in chain.iter().enumerate() {
-                pix[op.index()] = q as u32;
-                cpos[op.index()] = k as u32;
-            }
-        }
+    fn new(
+        history: &'a History,
+        clocks: CausalClocks,
+        reads_from: Vec<Option<ReadSource>>,
+    ) -> Self {
         let mut var_ix = HashMap::new();
         for rec in history.iter() {
             let next = var_ix.len();
             var_ix.entry(rec.var).or_insert(next);
         }
-        let mut wvp = vec![vec![Vec::new(); np]; var_ix.len()];
-        for chain in &chains {
-            for &op in chain {
+        let mut wvp = vec![vec![Vec::new(); clocks.np]; var_ix.len()];
+        for (q, chain) in clocks.chains.iter().enumerate() {
+            for (k, &op) in chain.iter().enumerate() {
                 let rec = history.op(op);
                 if rec.kind.is_write() {
-                    wvp[var_ix[&rec.var]][pix[op.index()] as usize].push((cpos[op.index()], op));
+                    wvp[var_ix[&rec.var]][q].push((k as u32, op));
                 }
             }
         }
+        // The clock pass is charged here, where it always was.
+        let steps = clocks.work;
         Analysis {
             history,
-            n,
-            procs,
-            np,
-            pix,
-            cpos,
-            chains,
-            reads_from: history.reads_from(),
+            clocks,
+            reads_from,
             var_ix,
             wvp,
-            vc: Vec::new(),
-            steps: 0,
+            steps,
         }
     }
 
     fn run(mut self) -> FastOutcome {
-        if self.n == 0 {
-            return self.causal();
-        }
-        // Thin-air reads make further causal reasoning moot.
-        for (i, src) in self.reads_from.iter().enumerate() {
-            if matches!(src, Some(ReadSource::ThinAir)) {
-                return self.bad(BadPattern::ThinAirRead {
-                    read: OpId(i as u64),
-                });
+        let mut pattern = self.co_patterns();
+        for q in 0..self.clocks.np {
+            if pattern.is_some() {
+                break;
             }
+            pattern = self.saturate(q);
         }
-        if !self.build_clocks() {
-            return self.bad(BadPattern::CyclicCausalOrder);
-        }
-        if let Some(pattern) = self.co_patterns() {
-            return self.bad(pattern);
-        }
-        for q in 0..self.np {
-            if let Some(pattern) = self.saturate(q) {
-                return self.bad(pattern);
-            }
-        }
-        self.causal()
-    }
-
-    fn causal(self) -> FastOutcome {
-        FastOutcome {
-            verdict: CausalVerdict::Causal,
-            pattern: None,
-            steps: self.steps,
-        }
-    }
-
-    fn bad(self, pattern: BadPattern) -> FastOutcome {
-        FastOutcome {
-            verdict: CausalVerdict::NotCausal(violation_of(self.history, &pattern)),
-            pattern: Some(pattern),
-            steps: self.steps,
-        }
-    }
-
-    /// Kahn topological pass over program-order + writes-into edges,
-    /// filling `vc`. Returns `false` on a causal-order cycle.
-    fn build_clocks(&mut self) -> bool {
-        let (n, np) = (self.n, self.np);
-        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut indeg = vec![0u32; n];
-        for chain in &self.chains {
-            for pair in chain.windows(2) {
-                succ[pair[0].index()].push(pair[1].index() as u32);
-                indeg[pair[1].index()] += 1;
-            }
-        }
-        for (i, src) in self.reads_from.iter().enumerate() {
-            if let Some(ReadSource::Write(w)) = src {
-                succ[w.index()].push(i as u32);
-                indeg[i] += 1;
-            }
-        }
-        self.vc = vec![0u32; n * np];
-        let mut stack: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(u) = stack.pop() {
-            let u = u as usize;
-            seen += 1;
-            // All predecessors have been folded in; stamp our own
-            // component, then push the finished clock to successors.
-            self.vc[u * np + self.pix[u] as usize] = self.cpos[u] + 1;
-            self.steps += 1 + (np * succ[u].len()) as u64;
-            for k in 0..succ[u].len() {
-                let s = succ[u][k] as usize;
-                for q in 0..np {
-                    let uv = self.vc[u * np + q];
-                    if self.vc[s * np + q] < uv {
-                        self.vc[s * np + q] = uv;
-                    }
-                }
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    stack.push(s as u32);
-                }
-            }
-        }
-        seen == n
+        outcome(self.history, self.steps, pattern)
     }
 
     /// The causal-consistency patterns (`WriteCoInitRead`,
@@ -267,10 +192,12 @@ impl<'a> Analysis<'a> {
     /// first qualifying write in observation order — the same instance
     /// [`crate::screen::screen`] reports.
     fn co_patterns(&mut self) -> Option<BadPattern> {
+        let cl = &self.clocks;
+        let np = cl.np;
         for (i, src) in self.reads_from.iter().enumerate() {
             let read = OpId(i as u64);
             let v = self.var_ix[&self.history.op(read).var];
-            self.steps += self.np as u64;
+            self.steps += np as u64;
             match src {
                 Some(ReadSource::Initial) => {
                     // Any causally earlier write to the same variable
@@ -278,9 +205,9 @@ impl<'a> Analysis<'a> {
                     // is its first write, so the overall first-in-
                     // observation-order one is the min op id over chains.
                     let mut best: Option<OpId> = None;
-                    for q in 0..self.np {
+                    for q in 0..np {
                         if let Some(&(c, w)) = self.wvp[v][q].first() {
-                            if c < self.vc[i * self.np + q] && best.is_none_or(|b| w < b) {
+                            if c < cl.vc[i * np + q] && best.is_none_or(|b| w < b) {
                                 best = Some(w);
                             }
                         }
@@ -297,12 +224,12 @@ impl<'a> Analysis<'a> {
                     // the chain), so two binary searches find the
                     // earliest; min over chains matches the screen.
                     let mut best: Option<OpId> = None;
-                    let (p0, c0) = (self.pix[w0.index()] as usize, self.cpos[w0.index()]);
-                    for q in 0..self.np {
+                    let (p0, c0) = (cl.pix[w0.index()] as usize, cl.cpos[w0.index()]);
+                    for q in 0..np {
                         let list = &self.wvp[v][q];
-                        let hi = list.partition_point(|&(c, _)| c < self.vc[i * self.np + q]);
-                        let lo = list[..hi]
-                            .partition_point(|&(_, w)| self.vc[w.index() * self.np + p0] <= c0);
+                        let hi = list.partition_point(|&(c, _)| c < cl.vc[i * np + q]);
+                        let lo =
+                            list[..hi].partition_point(|&(_, w)| cl.vc[w.index() * np + p0] <= c0);
                         for &(_, w) in &list[lo..hi] {
                             if w != *w0 {
                                 if best.is_none_or(|b| w < b) {
@@ -329,9 +256,10 @@ impl<'a> Analysis<'a> {
     /// Saturates `hb_i` for the process with dense index `i` and scans
     /// for the causal-memory patterns. Returns the first violation.
     fn saturate(&mut self, i: usize) -> Option<BadPattern> {
-        let np = self.np;
-        let proc = self.procs[i];
-        let my_reads: Vec<OpId> = self.chains[i]
+        let cl = &self.clocks;
+        let np = cl.np;
+        let proc = cl.procs[i];
+        let my_reads: Vec<OpId> = cl.chains[i]
             .iter()
             .copied()
             .filter(|&op| self.history.op(op).kind.is_read())
@@ -344,7 +272,7 @@ impl<'a> Analysis<'a> {
 
         // ---- Build the projection α_i: all writes + i's reads. ----
         const NOT_A_NODE: u32 = u32::MAX;
-        let mut node_of = vec![NOT_A_NODE; self.n];
+        let mut node_of = vec![NOT_A_NODE; self.history.len()];
         let mut nodes: Vec<OpId> = Vec::new();
         for rec in self.history.iter() {
             if rec.kind.is_write() || rec.proc == proc {
@@ -361,7 +289,7 @@ impl<'a> Analysis<'a> {
         let mut acpos = vec![0u32; m];
         let mut pref: Vec<Vec<u32>> = Vec::with_capacity(np);
         for q in 0..np {
-            let chain = &self.chains[q];
+            let chain = &cl.chains[q];
             let mut table = Vec::with_capacity(chain.len() + 1);
             table.push(0u32);
             for &op in chain {
@@ -376,7 +304,7 @@ impl<'a> Analysis<'a> {
             }
             pref.push(table);
         }
-        let achain: Vec<u32> = nodes.iter().map(|&op| self.pix[op.index()]).collect();
+        let achain: Vec<u32> = nodes.iter().map(|&op| cl.pix[op.index()]).collect();
 
         // hb clocks: hvc[node·np + q] = number of q's α_i-chain ops
         // hb_i-at-or-before node. Seeded from the causal-order clocks
@@ -384,7 +312,7 @@ impl<'a> Analysis<'a> {
         let mut hvc = vec![0u32; m * np];
         for (node, &op) in nodes.iter().enumerate() {
             for q in 0..np {
-                hvc[node * np + q] = pref[q][self.vc[op.index() * np + q] as usize];
+                hvc[node * np + q] = pref[q][cl.vc[op.index() * np + q] as usize];
             }
         }
         self.steps += (m * np) as u64;
@@ -410,8 +338,8 @@ impl<'a> Analysis<'a> {
             if node_of[r] != NOT_A_NODE {
                 ssucc[wnode as usize].push(node_of[r]);
             } else {
-                let q = self.pix[r] as usize;
-                let c = pref[q][self.cpos[r] as usize] as usize;
+                let q = cl.pix[r] as usize;
+                let c = pref[q][cl.cpos[r] as usize] as usize;
                 if c < anodes[q].len() {
                     ssucc[wnode as usize].push(anodes[q][c]);
                 }
@@ -480,7 +408,7 @@ impl<'a> Analysis<'a> {
                             // Fold w2's clock into w1 and propagate the
                             // growth (monotone, push-based).
                             worklist.clear();
-                            if Self::join(&mut hvc, np, w2 as usize, w1n as usize) {
+                            if join_rows(&mut hvc, np, w2 as usize, w1n as usize) {
                                 if hvc[w1n as usize * np + cw1] > acpos[w1n as usize] + 1 {
                                     return Some(BadPattern::CyclicHb { proc });
                                 }
@@ -490,7 +418,7 @@ impl<'a> Analysis<'a> {
                                 self.steps += (np * ssucc[u as usize].len()) as u64;
                                 for k in 0..ssucc[u as usize].len() {
                                     let s = ssucc[u as usize][k];
-                                    if Self::join(&mut hvc, np, u as usize, s as usize) {
+                                    if join_rows(&mut hvc, np, u as usize, s as usize) {
                                         let cs = achain[s as usize] as usize;
                                         if hvc[s as usize * np + cs] > acpos[s as usize] + 1 {
                                             return Some(BadPattern::CyclicHb { proc });
@@ -509,25 +437,12 @@ impl<'a> Analysis<'a> {
             }
         }
     }
-
-    /// `hvc[dst] ← hvc[dst] ⊔ hvc[src]`; `true` if `dst` grew.
-    fn join(hvc: &mut [u32], np: usize, src: usize, dst: usize) -> bool {
-        let mut grew = false;
-        for q in 0..np {
-            let sv = hvc[src * np + q];
-            if hvc[dst * np + q] < sv {
-                hvc[dst * np + q] = sv;
-                grew = true;
-            }
-        }
-        grew
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmi_types::{OpRecord, SimTime, SystemId, Value};
+    use cmi_types::{OpRecord, ProcId, SimTime, SystemId, Value};
 
     fn p(i: u16) -> ProcId {
         ProcId::new(SystemId(0), i)

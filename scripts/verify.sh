@@ -165,4 +165,17 @@ while read -r workload seed digest; do
         || { echo "FAIL: $workload seed $seed: an oracle failed" >&2; exit 1; }
 done < <(grep -v '^#' scripts/report_digests.txt)
 
-echo "OK: offline build, tests, dependency audit, golden formats, runner determinism, X18-X24 baseline gates, CLI smoke runs, the benchmark smoke and the full-size report digests all passed"
+echo "==> full-size rendered text (cmi-cli run benchmark/scenarios/*.json vs scripts/rendered/)"
+# report_digest hashes only the JSON. The text of the same four runs —
+# the "concurrency: N% ... longest causal write chain N" header and every
+# "causal ✓ (N steps)" line — must equal the committed files byte for
+# byte. The scenarios are read, never modified.
+for scenario in benchmark/scenarios/*.json; do
+    workload=$(basename "$scenario" .json)
+    echo "    $workload"
+    ./target/release/cmi-cli run "$scenario" > "$artifact_dir/rendered_$workload.txt"
+    diff "scripts/rendered/$workload.txt" "$artifact_dir/rendered_$workload.txt" \
+        || { echo "FAIL: $workload: rendered text differs from scripts/rendered/$workload.txt" >&2; exit 1; }
+done
+
+echo "OK: offline build, tests, dependency audit, golden formats, runner determinism, X18-X24 baseline gates, CLI smoke runs, the benchmark smoke, the full-size report digests and the full-size rendered text all passed"
