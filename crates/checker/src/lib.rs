@@ -5,8 +5,10 @@
 //! so this reproduction verifies it empirically on every experiment. The
 //! crate implements the paper's definitions verbatim:
 //!
-//! * [`order::CausalOrder`] — Definition 2: the causal order `→→` as the
-//!   transitive closure of program order and writes-into.
+//! * [`order`] — Definition 2: the causal order `→→`, the transitive
+//!   closure of program order and writes-into, as a bitset closure
+//!   ([`order::CausalOrder`], litmus-sized input) and as per-operation
+//!   vector clocks (simulator-sized input).
 //! * [`causal`] — Definitions 1–5: a computation is causal iff for every
 //!   process `i` the projection `α_i` (all writes + `i`'s reads) has a
 //!   **causal view**: a legal permutation preserving `→→`. The

@@ -52,6 +52,7 @@ pub fn measure(history: &History) -> HistoryMetrics {
     let reads_from = history.reads_from();
     let writes = history.writes().len();
     let pairs = writes * writes.saturating_sub(1) / 2;
+    // Cyclic `→→`: no pair counts as concurrent, no chain is reported.
     let (ordered, longest_write_chain) = write_order(history, &reads_from).unwrap_or((pairs, 0));
     HistoryMetrics {
         ops: history.len(),
@@ -187,7 +188,8 @@ mod tests {
             .all(|(i, src)| !matches!(src, Some(ReadSource::Write(w)) if w.index() >= i))
     }
 
-    fn assert_agrees_with_closure(history: &History, what: &str) {
+    /// Checks `measure` against the oracle and returns what it measured.
+    fn assert_agrees_with_closure(history: &History, what: &str) -> HistoryMetrics {
         assert!(recorded_in_causal_order(history), "{what}");
         let m = measure(history);
         let (concurrency, chain) = by_closure(history);
@@ -198,6 +200,7 @@ mod tests {
             m.write_concurrency
         );
         assert_eq!(m.longest_write_chain, chain, "{what}");
+        m
     }
 
     fn p(i: u16) -> ProcId {
@@ -307,8 +310,7 @@ mod tests {
         for case in 0..600u64 {
             let mut rng = cmi_sim::SplitMix64::seed_from_u64(0x3E7A ^ case);
             let h = common::causal_history(&mut rng, 48);
-            assert_agrees_with_closure(&h, &format!("case {case}"));
-            let m = measure(&h);
+            let m = assert_agrees_with_closure(&h, &format!("case {case}"));
             with_chain += usize::from(m.longest_write_chain >= 2);
             with_concurrency += usize::from(m.write_concurrency > 0.0);
         }

@@ -230,7 +230,7 @@ pub(crate) fn join_rows(table: &mut [u32], np: usize, src: usize, dst: usize) ->
 /// Built by one Kahn pass over program-order + writes-into edges. With
 /// `a` at position `k` of process `q`'s chain, `a →→ b` (or `a = b`)
 /// iff `clock(b)[q] > k`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CausalClocks {
     /// Dense process table (`ProcId` order: deterministic).
     pub(crate) procs: Vec<ProcId>,

@@ -30,9 +30,11 @@
 //! lets the fast path scale to 100k-op histories (X19):
 //!
 //! 1. one Kahn topological pass over program-order + writes-into edges
-//!    builds, per operation, the clock `vc[op][q]` = number of process
-//!    `q`'s operations causally at-or-before `op` — `O(n·p)` memory,
-//!    `O(1)` precedence queries, and a cycle check for free;
+//!    (the clock builder of [`crate::order`], shared with
+//!    [`crate::metrics`]) builds, per operation, the clock `vc[op][q]` =
+//!    number of process `q`'s operations causally at-or-before `op` —
+//!    `O(n·p)` memory, `O(1)` precedence queries, and a cycle check for
+//!    free;
 //! 2. the `Co` patterns reduce to binary searches of per-(variable,
 //!    process) write lists against each read's clock;
 //! 3. per process `i`, `hb_i` is saturated by monotone clock
@@ -164,7 +166,7 @@ impl<'a> Analysis<'a> {
                 }
             }
         }
-        // The clock pass is charged here, where it always was.
+        // The clock pass's work units are part of the check's `steps`.
         let steps = clocks.work;
         Analysis {
             history,
@@ -177,13 +179,10 @@ impl<'a> Analysis<'a> {
     }
 
     fn run(mut self) -> FastOutcome {
-        let mut pattern = self.co_patterns();
-        for q in 0..self.clocks.np {
-            if pattern.is_some() {
-                break;
-            }
-            pattern = self.saturate(q);
-        }
+        let pattern = match self.co_patterns() {
+            Some(pattern) => Some(pattern),
+            None => (0..self.clocks.np).find_map(|q| self.saturate(q)),
+        };
         outcome(self.history, self.steps, pattern)
     }
 

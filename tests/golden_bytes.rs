@@ -251,29 +251,6 @@ const GOLDEN_CLI_SCENARIOS: &[(&str, u64)] = &[
     ("telemetry.json", 0x30dab8c70d8b7b6a),
 ];
 
-/// `(name, report digest, rendered digest)` of one run.
-fn row(name: &str, run: &Artifacts) -> (String, u64, u64) {
-    (
-        name.to_string(),
-        report_digest(&run.json),
-        rendered_digest(&run.rendered),
-    )
-}
-
-/// Checks the JSON digests of `rows` against `golden_json` and the
-/// rendered-text digests against `golden_rendered`.
-fn assert_both(
-    rows: &[(String, u64, u64)],
-    (json_table, golden_json): (&str, &[(&str, u64)]),
-    (rendered_table, golden_rendered): (&str, &[(&str, u64)]),
-) {
-    let column = |pick: fn(&(String, u64, u64)) -> u64| -> Vec<(String, u64)> {
-        rows.iter().map(|r| (r.0.clone(), pick(r))).collect()
-    };
-    assert_golden(json_table, golden_json, &column(|r| r.1));
-    assert_golden(rendered_table, golden_rendered, &column(|r| r.2));
-}
-
 /// Rendered-text digests of `crates/cli/scenarios/*.json`.
 const GOLDEN_CLI_SCENARIOS_RENDERED: &[(&str, u64)] = &[
     ("chaos_churn.json", 0x464fce88866f7aaf),
@@ -284,6 +261,21 @@ const GOLDEN_CLI_SCENARIOS_RENDERED: &[(&str, u64)] = &[
     ("lineage.json", 0xe6f02ac2f2c7001c),
     ("telemetry.json", 0x0c864bc036449a8c),
 ];
+
+/// `(name, digest)` rows, as `assert_golden` compares them.
+type Rows = Vec<(String, u64)>;
+
+/// The rows of `runs`' JSON artifacts and of their rendered texts.
+fn digests(runs: &[(&str, Artifacts)]) -> (Rows, Rows) {
+    runs.iter()
+        .map(|(name, run)| {
+            (
+                (name.to_string(), report_digest(&run.json)),
+                (name.to_string(), rendered_digest(&run.rendered)),
+            )
+        })
+        .unzip()
+}
 
 #[test]
 fn reduced_benchmark_shapes_keep_their_report_bytes() {
@@ -297,18 +289,15 @@ fn reduced_benchmark_shapes_keep_their_report_bytes() {
         islands_serial.rendered == islands_sharded.rendered,
         "the sharded engine's rendered text differs from the serial engine's"
     );
-    let rows = [
-        row("hub32_wide", &artifacts(HUB32_WIDE, None)),
-        row("pair_deep_60", &artifacts(PAIR_DEEP_60, None)),
-        row("chaos_lossy_60", &artifacts(CHAOS_LOSSY_60, None)),
-        row("islands_16", &islands_serial),
-        row("islands_16 --shards 2", &islands_sharded),
-    ];
-    assert_both(
-        &rows,
-        ("GOLDEN_SHAPES", GOLDEN_SHAPES),
-        ("GOLDEN_SHAPES_RENDERED", GOLDEN_SHAPES_RENDERED),
-    );
+    let (json, rendered) = digests(&[
+        ("hub32_wide", artifacts(HUB32_WIDE, None)),
+        ("pair_deep_60", artifacts(PAIR_DEEP_60, None)),
+        ("chaos_lossy_60", artifacts(CHAOS_LOSSY_60, None)),
+        ("islands_16", islands_serial),
+        ("islands_16 --shards 2", islands_sharded),
+    ]);
+    assert_golden("GOLDEN_SHAPES", GOLDEN_SHAPES, &json);
+    assert_golden("GOLDEN_SHAPES_RENDERED", GOLDEN_SHAPES_RENDERED, &rendered);
 }
 
 #[test]
@@ -321,20 +310,19 @@ fn committed_cli_scenarios_keep_their_report_bytes() {
         .filter(|name| name.ends_with(".json"))
         .collect();
     names.sort();
-    let rows: Vec<(String, u64, u64)> = names
-        .into_iter()
+    let runs: Vec<(&str, Artifacts)> = names
+        .iter()
         .map(|name| {
             let text = std::fs::read_to_string(format!("{dir}/{name}")).expect("scenario reads");
-            row(&name, &artifacts(&text, None))
+            (name.as_str(), artifacts(&text, None))
         })
         .collect();
-    assert_both(
-        &rows,
-        ("GOLDEN_CLI_SCENARIOS", GOLDEN_CLI_SCENARIOS),
-        (
-            "GOLDEN_CLI_SCENARIOS_RENDERED",
-            GOLDEN_CLI_SCENARIOS_RENDERED,
-        ),
+    let (json, rendered) = digests(&runs);
+    assert_golden("GOLDEN_CLI_SCENARIOS", GOLDEN_CLI_SCENARIOS, &json);
+    assert_golden(
+        "GOLDEN_CLI_SCENARIOS_RENDERED",
+        GOLDEN_CLI_SCENARIOS_RENDERED,
+        &rendered,
     );
 }
 
