@@ -871,19 +871,22 @@ impl World {
                 }
                 if let Some(isp) = actor.isp() {
                     chunk.isps.push(*p);
-                    // Group the send log per destination.
+                    // Group the send log per destination in one pass
+                    // (the topology is a tree: one link per peer).
+                    let mut slot_of = HashMap::new();
                     for end in isp.links() {
-                        let pairs: Vec<_> = isp
-                            .sent_log()
-                            .iter()
-                            .filter(|sp| sp.to_isp == end.peer_isp)
-                            .copied()
-                            .collect();
+                        let dup = slot_of.insert(end.peer_isp, chunk.link_sends.len());
+                        debug_assert!(dup.is_none(), "two links to {}", end.peer_isp);
                         chunk.link_sends.push(LinkTraffic {
                             from_isp: *p,
                             to_isp: end.peer_isp,
-                            pairs,
+                            pairs: Vec::new(),
                         });
+                    }
+                    for sp in isp.sent_log() {
+                        if let Some(&slot) = slot_of.get(&sp.to_isp) {
+                            chunk.link_sends[slot].pairs.push(*sp);
+                        }
                     }
                 }
             }

@@ -13,7 +13,7 @@ use crate::actor::{Actor, ActorId, Ctx};
 use crate::channel::{ChannelCounters, ChannelSpec, ChannelState};
 use crate::rng::{derive_rng, derive_seed, SplitMix64};
 use crate::sched::CalendarQueue;
-use crate::stats::{NetworkTag, TrafficStats};
+use crate::stats::{NetworkTag, SendCounts, TrafficStats};
 use crate::tap::RunTap;
 use crate::trace::{TraceEntry, TraceKind, TraceSink};
 
@@ -144,10 +144,12 @@ pub(crate) struct Engine<M> {
     depth_class: Vec<u32>,
     /// Live pending-event count per depth class.
     class_depth: Vec<u64>,
-    tags: Vec<NetworkTag>,
     pub(crate) actor_rngs: Vec<SplitMix64>,
     jitter_rng: SplitMix64,
     corrupter: Option<Corrupter<M>>,
+    /// Sends counted per dense channel index since the last fold; every
+    /// `Sim::run` call ends by folding them into `stats`.
+    sends: SendCounts,
     stats: TrafficStats,
     metrics: MetricsRegistry,
     ids: EngineIds,
@@ -248,7 +250,7 @@ impl<M: fmt::Debug + Clone> Engine<M> {
             } else {
                 remaining.as_ref().expect("clone before the move").clone()
             };
-            self.count_send(from, to, payload_units);
+            self.count_send(ci, payload_units);
             if self.tracing() {
                 self.trace_sent(from, to, delivery, &m);
             }
@@ -256,16 +258,13 @@ impl<M: fmt::Debug + Clone> Engine<M> {
         }
     }
 
-    /// Scalar per-send accounting shared by originals and duplicates.
-    /// Stats are keyed by *global* actor identity so shard-local runs
-    /// merge into the serial tables without translation.
-    fn count_send(&mut self, from: ActorId, to: ActorId, payload_units: u64) {
-        let (from_tag, to_tag) = (self.tags[from.index()], self.tags[to.index()]);
-        let (gfrom, gto) = (self.global[from.index()], self.global[to.index()]);
-        self.stats.on_send(gfrom, gto, from_tag, to_tag);
+    /// Scalar per-send accounting shared by originals and duplicates,
+    /// by the dense index of the channel `send` already resolved.
+    fn count_send(&mut self, ci: usize, payload_units: u64) {
+        let crosses = self.sends.on_send(ci);
         self.metrics.inc_id(self.ids.messages_sent);
         self.metrics.add_id(self.ids.payload_units, payload_units);
-        if from_tag != to_tag {
+        if crosses {
             self.metrics.inc_id(self.ids.crossings);
         }
     }
@@ -605,8 +604,10 @@ impl<M: fmt::Debug + Clone + 'static> SimBuilder<M> {
         keyed.sort_by_key(|&(k, _)| k);
         let mut channels = Vec::with_capacity(keyed.len());
         let mut adjacency: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        let mut sends = SendCounts::default();
         for ((from, to), mut state) in keyed {
             let (gfrom, gto) = (global[from.index()], global[to.index()]);
+            sends.add_channel(gfrom, gto, self.tags[from.index()], self.tags[to.index()]);
             let key = (u64::from(gfrom.0) << 32) | u64::from(gto.0);
             state.fault_rng = derive_rng(fault_seed, key);
             state.counters = Some(ChannelCounters::resolve(&mut metrics, gfrom, gto));
@@ -623,10 +624,10 @@ impl<M: fmt::Debug + Clone + 'static> SimBuilder<M> {
                 global,
                 depth_class,
                 class_depth: vec![0; n_classes],
-                tags: self.tags,
                 actor_rngs,
                 jitter_rng: derive_rng(self.seed, u64::MAX),
                 corrupter: self.corrupter,
+                sends,
                 stats: TrafficStats::new(),
                 metrics,
                 ids,
@@ -678,29 +679,30 @@ impl<M: fmt::Debug + Clone + 'static> Sim<M> {
         }
         // AUDIT:HOT-BEGIN — dispatch loop: pop from the calendar queue,
         // per-class depth gauge by interned id, no formatting.
-        loop {
+        let outcome = loop {
             let Some((head_at_ns, _, head_class)) = self.engine.queue.peek() else {
-                return RunOutcome::Quiescent {
+                break RunOutcome::Quiescent {
                     events: events_this_call,
                 };
             };
             if let Some(max_time) = limit.max_time {
                 if head_at_ns > max_time.as_nanos() {
-                    return RunOutcome::TimeLimit {
+                    break RunOutcome::TimeLimit {
                         events: events_this_call,
                     };
                 }
             }
             if let Some(max_events) = limit.max_events {
                 if events_this_call >= max_events {
-                    return RunOutcome::EventLimit {
+                    break RunOutcome::EventLimit {
                         events: events_this_call,
                     };
                 }
             }
             // Depth accounting *before* the pop, counting the head event
             // itself: total pending events of the head's class across the
-            // slot ring, the live batch and the overflow heap.
+            // slot ring, the live window (batch and late heap) and the
+            // overflow heap.
             self.engine.metrics.gauge_max_id(
                 self.engine.ids.queue_depth_max,
                 self.engine.class_depth[head_class as usize] as f64,
@@ -767,8 +769,12 @@ impl<M: fmt::Debug + Clone + 'static> Sim<M> {
                 self.engine
                     .record_span(SpanId::TapFeed, t0.elapsed().as_nanos() as u64);
             }
-        }
+        };
         // AUDIT:HOT-END
+        // Sends were counted by channel index; fold them into the keyed
+        // tables so `stats()` is exact between `run` calls.
+        self.engine.sends.fold_into(&mut self.engine.stats);
+        outcome
     }
 
     /// Current virtual time (time of the last processed event).

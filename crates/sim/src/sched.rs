@@ -6,9 +6,12 @@
 //! (beyond one full ring revolution) in an overflow binary heap.
 //! Events of the slot under the cursor drain as one *batch*, sorted
 //! once by `(at, seq)`, so same-instant events pop in FIFO insertion
-//! order without per-event heap rebalancing. Payloads live in a
-//! reusable slab with a free list; slot vectors, the batch buffer and
-//! the slab all recycle their capacity, so the steady-state
+//! order without per-event heap rebalancing. Events pushed into the
+//! window that is already draining go to a small *late* min-heap beside
+//! the batch; the next event is the smaller of the two heads, so every
+//! push is O(log n) however long the batch is. Payloads live in a
+//! reusable slab with a free list; slot vectors, the batch buffer, the
+//! heaps and the slab all recycle their capacity, so the steady-state
 //! push/pop loop performs no allocation.
 //!
 //! Pop order is exactly ascending `(at, seq)` — byte-identical to the
@@ -28,7 +31,10 @@
 //!   whenever the cursor advances past this bound, so ring order alone
 //!   decides the next event.
 //! * Pushes earlier than `cursor` (same-window or past-time events, e.g.
-//!   zero-delay timers) binary-insert directly into the live batch.
+//!   zero-delay timers) go to the `late` heap. Every `late` and batch
+//!   entry is earlier than `cursor` and every ring entry is not, so the
+//!   next window is drained only once both are empty, and the smaller
+//!   of `late`'s minimum and the batch's back is the queue's minimum.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,8 +44,9 @@ use std::collections::BinaryHeap;
 
 /// One scheduled entry: time, global insertion sequence, a caller-owned
 /// tag (the engine stores the event's queue-depth class here) and the
-/// payload's slab index.
-#[derive(Clone, Copy)]
+/// payload's slab index. The derived order is `(at, seq)`: `seq` is
+/// unique, so `tag` and `idx` never decide a comparison.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at: u64,
     seq: u64,
@@ -60,20 +67,23 @@ pub struct CalendarQueue<T> {
     /// Entries of the window currently draining, sorted descending by
     /// `(at, seq)` so `pop` is a cheap `Vec::pop` from the back.
     batch: Vec<Entry>,
+    /// Entries pushed into the draining window (or before it) after its
+    /// batch was sorted, min-ordered by `(at, seq)`.
+    late: BinaryHeap<Reverse<Entry>>,
     /// End of the most recently drained window (slot-aligned). Pushes
-    /// before this instant go straight into `batch`.
+    /// before this instant go to `late`.
     cursor: u64,
     /// Far-future events, min-ordered by `(at, seq)`.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32, u32)>>,
+    overflow: BinaryHeap<Reverse<Entry>>,
     /// Payload slab; `Entry::idx` points here.
     slab: Vec<Option<T>>,
     /// Free slab indices available for reuse.
     free: Vec<u32>,
     /// log2 of the slot width in nanoseconds.
     width_shift: u32,
-    /// Total entries (ring + batch + overflow).
+    /// Total entries (ring + batch + late + overflow).
     len: usize,
-    /// Entries currently in ring slots (excludes batch and overflow).
+    /// Entries currently in ring slots (excludes batch, late and overflow).
     ring_len: usize,
 }
 
@@ -100,6 +110,7 @@ impl<T> CalendarQueue<T> {
             slots: (0..n_slots).map(|_| Vec::new()).collect(),
             occupied: vec![0u64; n_slots / 64],
             batch: Vec::new(),
+            late: BinaryHeap::new(),
             cursor: 0,
             overflow: BinaryHeap::new(),
             slab: Vec::new(),
@@ -110,7 +121,8 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Total pending entries across batch, slot ring and overflow heap.
+    /// Total pending entries across batch, late heap, slot ring and
+    /// overflow heap.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -165,39 +177,55 @@ impl<T> CalendarQueue<T> {
         let e = Entry { at, seq, tag, idx };
         self.len += 1;
         if at < self.cursor {
-            // Current (or past) window: insert into the live batch at
-            // its descending (at, seq) position.
-            let pos = self.batch.partition_point(|x| (x.at, x.seq) > (at, seq));
-            self.batch.insert(pos, e);
+            // Current (or past) window: its batch is already sorted.
+            self.late.push(Reverse(e));
         } else if self.in_ring(at) {
             let slot = self.slot_of(at);
             self.slots[slot].push(e);
             self.occupied[slot >> 6] |= 1u64 << (slot & 63);
             self.ring_len += 1;
         } else {
-            self.overflow.push(Reverse((at, seq, tag, idx)));
+            self.overflow.push(Reverse(e));
         }
     }
 
     /// Time, sequence and tag of the next entry without removing it.
     /// Advances the cursor to the next occupied window if the live
-    /// batch is empty (which never changes pop order).
+    /// window is drained (which never changes pop order).
     pub fn peek(&mut self) -> Option<(u64, u64, u32)> {
-        if self.batch.is_empty() {
+        if self.batch.is_empty() && self.late.is_empty() {
             self.prepare();
         }
-        self.batch.last().map(|e| (e.at, e.seq, e.tag))
+        let next = if self.late_is_next() {
+            self.late.peek().map(|Reverse(e)| e)
+        } else {
+            self.batch.last()
+        };
+        next.map(|e| (e.at, e.seq, e.tag))
     }
 
     /// Removes and returns the next entry as `(at, seq, value)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        if self.batch.is_empty() {
+        if self.batch.is_empty() && self.late.is_empty() {
             self.prepare();
         }
-        let e = self.batch.pop()?;
+        let e = if self.late_is_next() {
+            self.late.pop().map(|Reverse(e)| e)
+        } else {
+            self.batch.pop()
+        }?;
         self.len -= 1;
         let value = self.slab_take(e.idx);
         Some((e.at, e.seq, value))
+    }
+
+    /// `true` when the live window's next entry is `late`'s minimum
+    /// rather than the batch's back.
+    fn late_is_next(&self) -> bool {
+        match (self.late.peek(), self.batch.last()) {
+            (Some(Reverse(late)), Some(b)) => late < b,
+            (late, _) => late.is_some(),
+        }
     }
 
     /// Drains the next occupied window into the batch: jump the cursor
@@ -205,9 +233,9 @@ impl<T> CalendarQueue<T> {
     /// entries that the advance brought within the horizon, scan the
     /// occupancy bitmap for the next slot, and sort its entries once.
     fn prepare(&mut self) {
-        debug_assert!(self.batch.is_empty());
+        debug_assert!(self.batch.is_empty() && self.late.is_empty());
         if self.ring_len == 0 {
-            let Some(&Reverse((at, _, _, _))) = self.overflow.peek() else {
+            let Some(&Reverse(Entry { at, .. })) = self.overflow.peek() else {
                 return;
             };
             // Align the cursor down to the minimum's window; promotion
@@ -238,15 +266,13 @@ impl<T> CalendarQueue<T> {
     /// `overflow.min ≥ cursor + N·width` always holds and ring order
     /// alone decides the next event.
     fn promote(&mut self) {
-        while let Some(&Reverse((at, _, _, _))) = self.overflow.peek() {
-            if !self.in_ring(at) {
+        while let Some(&Reverse(e)) = self.overflow.peek() {
+            if !self.in_ring(e.at) {
                 break;
             }
-            let Some(Reverse((at, seq, tag, idx))) = self.overflow.pop() else {
-                unreachable!()
-            };
-            let slot = self.slot_of(at);
-            self.slots[slot].push(Entry { at, seq, tag, idx });
+            self.overflow.pop();
+            let slot = self.slot_of(e.at);
+            self.slots[slot].push(e);
             self.occupied[slot >> 6] |= 1u64 << (slot & 63);
             self.ring_len += 1;
         }

@@ -40,20 +40,6 @@ impl TrafficStats {
         TrafficStats::default()
     }
 
-    pub(crate) fn on_send(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        from_tag: NetworkTag,
-        to_tag: NetworkTag,
-    ) {
-        self.total_messages += 1;
-        *self.per_channel.entry((from, to)).or_insert(0) += 1;
-        if from_tag != to_tag {
-            *self.per_crossing.entry((from_tag, to_tag)).or_insert(0) += 1;
-        }
-    }
-
     pub(crate) fn on_timer(&mut self) {
         self.timer_events += 1;
     }
@@ -131,6 +117,79 @@ impl TrafficStats {
     }
 }
 
+/// The send path's side of [`TrafficStats`]: one counter per channel in
+/// the engine's dense channel order, so counting a message is an indexed
+/// increment. [`fold_into`](SendCounts::fold_into) moves the counts into
+/// the keyed tables; the engine does so at the end of every `Sim::run`
+/// call, the only point from which the stats can be read.
+#[derive(Debug, Default)]
+pub(crate) struct SendCounts {
+    channels: Vec<ChannelCount>,
+}
+
+/// One channel's sends since the last fold, and where they land in
+/// [`TrafficStats`] (resolved once at build). Endpoints are *global*
+/// actor identities so shard-local runs merge into the serial tables
+/// without translation.
+#[derive(Debug)]
+struct ChannelCount {
+    from: ActorId,
+    to: ActorId,
+    /// The directed network pair, if the endpoints sit on different
+    /// networks.
+    crossing: Option<(NetworkTag, NetworkTag)>,
+    pending: u64,
+}
+
+impl SendCounts {
+    /// Registers the next channel of the dense table.
+    pub(crate) fn add_channel(
+        &mut self,
+        from: ActorId,
+        to: ActorId,
+        from_tag: NetworkTag,
+        to_tag: NetworkTag,
+    ) {
+        self.channels.push(ChannelCount {
+            from,
+            to,
+            crossing: (from_tag != to_tag).then_some((from_tag, to_tag)),
+            pending: 0,
+        });
+    }
+
+    // AUDIT:HOT-BEGIN — per-send accounting: an indexed increment, no
+    // keyed table (BTreeMap, .entry) is touched.
+    /// Counts one message on channel `ci`; `true` if it crosses networks.
+    #[inline]
+    pub(crate) fn on_send(&mut self, ci: usize) -> bool {
+        let channel = &mut self.channels[ci];
+        channel.pending += 1;
+        channel.crossing.is_some()
+    }
+    // AUDIT:HOT-END
+
+    /// Adds every pending count to `stats` and zeroes it. A channel that
+    /// carried nothing adds no entry, exactly like a table updated per
+    /// send.
+    pub(crate) fn fold_into(&mut self, stats: &mut TrafficStats) {
+        for channel in &mut self.channels {
+            let n = std::mem::take(&mut channel.pending);
+            if n == 0 {
+                continue;
+            }
+            stats.total_messages += n;
+            *stats
+                .per_channel
+                .entry((channel.from, channel.to))
+                .or_insert(0) += n;
+            if let Some(pair) = channel.crossing {
+                *stats.per_crossing.entry(pair).or_insert(0) += n;
+            }
+        }
+    }
+}
+
 impl ToJson for TrafficStats {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -178,19 +237,66 @@ impl fmt::Display for TrafficStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Actor, Ctx};
+    use crate::channel::{ChannelSpec, FaultSpec};
+    use crate::engine::{RunLimit, SimBuilder};
+    use crate::trace::TraceKind;
+    use cmi_types::SimTime;
+    use std::any::Any;
+    use std::time::Duration;
+
+    /// The accounting the send path did before `SendCounts`: both keyed
+    /// tables updated on every message. Kept as the reference.
+    fn per_send_reference(
+        s: &mut TrafficStats,
+        from: ActorId,
+        to: ActorId,
+        from_tag: NetworkTag,
+        to_tag: NetworkTag,
+    ) {
+        s.total_messages += 1;
+        *s.per_channel.entry((from, to)).or_insert(0) += 1;
+        if from_tag != to_tag {
+            *s.per_crossing.entry((from_tag, to_tag)).or_insert(0) += 1;
+        }
+    }
+
+    /// Stats after one send per entry of `sends` (channel indices) over
+    /// `channels` = `(from, to, from_tag, to_tag)`.
+    fn folded(channels: &[(u32, u32, u16, u16)], sends: &[usize]) -> TrafficStats {
+        let mut counts = SendCounts::default();
+        for &(from, to, from_tag, to_tag) in channels {
+            counts.add_channel(
+                ActorId(from),
+                ActorId(to),
+                NetworkTag(from_tag),
+                NetworkTag(to_tag),
+            );
+        }
+        let mut stats = TrafficStats::new();
+        for &ci in sends {
+            counts.on_send(ci);
+        }
+        counts.fold_into(&mut stats);
+        stats
+    }
+
+    /// a0, a1 on net0; a2 on net1.
+    const CHANNELS: [(u32, u32, u16, u16); 4] =
+        [(0, 1, 0, 0), (0, 2, 0, 1), (2, 0, 1, 0), (1, 0, 0, 0)];
 
     #[test]
     fn counts_totals_channels_and_crossings() {
-        let mut s = TrafficStats::new();
+        let s = folded(&CHANNELS, &[0, 1, 2, 1]);
         let (a, b, c) = (ActorId(0), ActorId(1), ActorId(2));
         let (n0, n1) = (NetworkTag(0), NetworkTag(1));
-        s.on_send(a, b, n0, n0);
-        s.on_send(a, c, n0, n1);
-        s.on_send(c, a, n1, n0);
-        s.on_send(a, c, n0, n1);
         assert_eq!(s.total_messages(), 4);
         assert_eq!(s.channel_messages(a, c), 2);
         assert_eq!(s.channel_messages(b, a), 0);
+        assert!(
+            !s.channel_table().contains_key(&(b, a)),
+            "a channel that carried nothing has no entry"
+        );
         assert_eq!(s.crossings(), 3);
         assert_eq!(s.crossings_between(n0, n1), 2);
         assert_eq!(s.crossings_between(n1, n0), 1);
@@ -198,16 +304,14 @@ mod tests {
 
     #[test]
     fn same_network_sends_are_not_crossings() {
-        let mut s = TrafficStats::new();
-        s.on_send(ActorId(0), ActorId(1), NetworkTag(3), NetworkTag(3));
+        let s = folded(&[(0, 1, 3, 3)], &[0]);
         assert_eq!(s.total_messages(), 1);
         assert_eq!(s.crossings(), 0);
     }
 
     #[test]
     fn reset_zeroes_everything() {
-        let mut s = TrafficStats::new();
-        s.on_send(ActorId(0), ActorId(1), NetworkTag(0), NetworkTag(1));
+        let mut s = folded(&CHANNELS, &[1]);
         s.on_timer();
         s.reset();
         assert_eq!(s.total_messages(), 0);
@@ -218,10 +322,126 @@ mod tests {
 
     #[test]
     fn display_summarizes_counters() {
-        let mut s = TrafficStats::new();
-        s.on_send(ActorId(0), ActorId(1), NetworkTag(0), NetworkTag(1));
-        let text = s.to_string();
+        let text = folded(&CHANNELS, &[1]).to_string();
         assert!(text.contains("1 messages"));
         assert!(text.contains("net0 → net1: 1"));
+    }
+
+    /// Forwards every message to a random neighbour until its hop
+    /// budget runs out; a timer keeps injecting fresh ones.
+    struct Gossip {
+        peers: Vec<ActorId>,
+        rounds: u32,
+    }
+
+    impl Gossip {
+        fn forward(&self, hops: u32, ctx: &mut Ctx<'_, u32>) {
+            let pick = ctx.rng().gen_range(0..self.peers.len());
+            ctx.send(self.peers[pick], hops);
+        }
+    }
+
+    impl Actor<u32> for Gossip {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            ctx.schedule(Duration::from_millis(1), 0);
+        }
+
+        fn on_message(&mut self, _from: ActorId, hops: u32, ctx: &mut Ctx<'_, u32>) {
+            if hops > 0 {
+                self.forward(hops - 1, ctx);
+            }
+        }
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, u32>) {
+            self.forward(6, ctx);
+            if self.rounds > 0 {
+                self.rounds -= 1;
+                ctx.schedule(Duration::from_millis(3), 0);
+            }
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn folded_tables_equal_per_send_accounting_across_runs_and_resets() {
+        // Six actors, two per network, fully connected over jittered
+        // channels that duplicate one send in five (a duplicate is a
+        // second send). Global ids differ from local ones, as in a shard.
+        const N: u32 = 6;
+        let tag = |local: u32| NetworkTag((local / 2) as u16);
+        let global = |local: u32| 10 + 3 * local;
+        let mut b = SimBuilder::new(23);
+        b.enable_trace();
+        for i in 0..N {
+            let peers = (0..N).filter(|&j| j != i).map(ActorId).collect();
+            b.add_actor(Box::new(Gossip { peers, rounds: 8 }), tag(i));
+        }
+        let spec = ChannelSpec::jittered(Duration::from_millis(2), Duration::from_millis(3))
+            .with_faults(FaultSpec::none().with_duplication(0.2));
+        for i in 0..N {
+            for j in (0..N).filter(|&j| j != i) {
+                b.connect(ActorId(i), ActorId(j), spec.clone());
+            }
+        }
+        b.set_global_ids((0..N).map(global).collect());
+        let mut sim = b.build();
+
+        let tag_of = |a: ActorId| tag((a.0 - 10) / 3);
+        let reference = |entries: &[crate::trace::TraceEntry]| {
+            let mut want = TrafficStats::new();
+            for e in entries {
+                match e.kind {
+                    TraceKind::Sent { from, to, .. } => {
+                        per_send_reference(&mut want, from, to, tag_of(from), tag_of(to));
+                    }
+                    TraceKind::Timer { .. } => want.on_timer(),
+                    _ => {}
+                }
+            }
+            want
+        };
+
+        sim.run(RunLimit::until(SimTime::from_millis(9)));
+        let first_len = sim.trace().len();
+        let first = sim.stats().clone();
+        assert_eq!(first, reference(sim.trace()));
+        assert!(first.total_messages() > 20 && first.crossing_table().len() == 6);
+
+        // A second, event-limited call adds to the same tables.
+        sim.run(RunLimit::events(15));
+        assert_eq!(sim.stats(), &reference(sim.trace()));
+        let second_from = sim.trace().len();
+        let so_far = sim.stats().clone();
+
+        // After a reset only later sends count: nothing pending in the
+        // dense counters survives the fold.
+        sim.stats_mut().reset();
+        assert!(sim.run(RunLimit::unlimited()).is_quiescent());
+        let tail = reference(&sim.trace()[second_from..]);
+        assert_eq!(sim.stats(), &tail);
+        assert_eq!(
+            sim.stats().crossings(),
+            tail.crossing_table().values().sum::<u64>()
+        );
+        assert!(second_from > first_len && tail.total_messages() > 20);
+
+        let mut merged = so_far;
+        merged.merge(sim.stats());
+        assert_eq!(merged, reference(sim.trace()));
+
+        let mut want = MetricsRegistry::new();
+        tail.export_into(&mut want);
+        let snapshot = sim.metrics_snapshot();
+        assert!(want.counters().count() > 30);
+        for (name, n) in want.counters() {
+            assert_eq!(snapshot.counter(name), n, "{name}");
+        }
     }
 }

@@ -1,12 +1,15 @@
 //! Source audit of the simulator's event hot path — the landmine
 //! discipline from PR 4, extended to the calendar-queue scheduler: every
-//! region between `AUDIT:HOT-BEGIN` and `AUDIT:HOT-END` in `engine.rs`
-//! and `sched.rs` runs once per event (push, channel resolution, pop,
-//! dispatch), so no allocation-heavy formatting and no string-keyed
-//! metric lookups may land there. Metric ids must be interned once
-//! (`EngineIds`) and used through the `*_id` fast calls; anything that
-//! formats belongs outside the markers (e.g. `render_debug`, trace
-//! sinks).
+//! region between `AUDIT:HOT-BEGIN` and `AUDIT:HOT-END` in `engine.rs`,
+//! `sched.rs` and `stats.rs` runs once per event (push, channel
+//! resolution, send accounting, pop, dispatch), so no allocation-heavy
+//! formatting and no string-keyed metric lookups may land there. Metric
+//! ids must be interned once (`EngineIds`) and used through the `*_id`
+//! fast calls; anything that formats belongs outside the markers (e.g.
+//! `render_debug`, trace sinks). Nor may a send walk a keyed table
+//! (`TrafficStats` is folded from dense counters when `run` returns) or
+//! the scheduler insert into the middle of a vector (a same-window push
+//! goes to a heap).
 //!
 //! Unlike the checker's single-region audit, a source file here may hold
 //! *several* audited regions — `engine.rs` brackets the send/push path
@@ -83,6 +86,23 @@ fn audit_file(file: &str) {
             "HashMap",
             "channel lookups go through the dense adjacency table",
         );
+        assert_absent(
+            file,
+            &region,
+            base,
+            "BTreeMap",
+            "sends are counted by dense channel index and folded after the run",
+        );
+        assert_absent(file, &region, base, ".entry(", "keyed-table walk per event");
+        // A same-window push used to be a positional `Vec::insert` into
+        // the sorted live batch: O(batch) per push on a wide window.
+        assert_absent(
+            file,
+            &region,
+            base,
+            ".insert(",
+            "keyed-table walk, or shifts the rest of a vector",
+        );
     }
 }
 
@@ -94,6 +114,11 @@ fn engine_event_path_never_formats_or_resolves_metric_names() {
 #[test]
 fn scheduler_never_formats_or_resolves_metric_names() {
     audit_file("sched.rs");
+}
+
+#[test]
+fn send_accounting_never_walks_a_keyed_table() {
+    audit_file("stats.rs");
 }
 
 #[test]
@@ -123,6 +148,15 @@ fn audited_regions_cover_the_event_entry_points() {
             "`{must_have}` moved outside the audited sched region — move the marker with it"
         );
     }
+
+    let stats: String = hot_regions("stats.rs")
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect();
+    assert!(
+        stats.contains("fn on_send"),
+        "`fn on_send` moved outside the audited stats region — move the marker with it"
+    );
 }
 
 #[test]
