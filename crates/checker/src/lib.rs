@@ -58,6 +58,11 @@ pub mod session;
 pub mod trace;
 pub mod wio;
 
+/// The seeded history generators of the integration tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 pub use cache::CacheVerdict;
 pub use causal::{CausalReport, CausalVerdict, CausalViolation, CheckEngine};
 pub use forensics::{Finding, ForensicsReport};

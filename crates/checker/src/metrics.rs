@@ -128,11 +128,6 @@ fn write_order(history: &History, reads_from: &[Option<ReadSource>]) -> Option<(
     Some((ordered, longest))
 }
 
-/// The seeded history generator of the integration tests.
-#[cfg(test)]
-#[path = "../tests/common/mod.rs"]
-mod common;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,7 +304,7 @@ mod tests {
         let mut with_concurrency = 0;
         for case in 0..600u64 {
             let mut rng = cmi_sim::SplitMix64::seed_from_u64(0x3E7A ^ case);
-            let h = common::causal_history(&mut rng, 48);
+            let h = crate::common::causal_history(&mut rng, 48);
             let m = assert_agrees_with_closure(&h, &format!("case {case}"));
             with_chain += usize::from(m.longest_write_chain >= 2);
             with_concurrency += usize::from(m.write_concurrency > 0.0);

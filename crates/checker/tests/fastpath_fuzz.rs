@@ -16,30 +16,8 @@ use cmi_checker::{causal, litmus, screen, wio, CausalVerdict, CheckEngine};
 use cmi_sim::SplitMix64;
 use cmi_types::{History, OpRecord, ProcId, SimTime, SystemId, Value, VarId};
 
-/// Write-distinct histories with adversarial reads: a read returns ⊥ or
-/// any value ever written to its variable, chosen uniformly.
-fn adversarial_history(rng: &mut SplitMix64, max_ops: usize) -> History {
-    let n = rng.gen_range(0..max_ops as u32 + 1);
-    let mut h = History::new();
-    let mut written: Vec<Vec<Value>> = vec![Vec::new(); 3];
-    let mut seq = 0u32;
-    for i in 0..n {
-        let proc = ProcId::new(SystemId(0), rng.gen_range(0u32..4) as u16);
-        let var = rng.gen_range(0u32..3) as usize;
-        let at = SimTime::from_nanos(u64::from(i));
-        if rng.gen_bool(0.45) {
-            seq += 1;
-            let val = Value::new(proc, seq);
-            written[var].push(val);
-            h.record(OpRecord::write(proc, VarId(var as u32), val, at));
-        } else {
-            let pick = rng.gen_range(0..written[var].len() as u32 + 1) as usize;
-            let val = written[var].get(pick).copied();
-            h.record(OpRecord::read(proc, VarId(var as u32), val, at));
-        }
-    }
-    h
-}
+mod common;
+use common::{adversarial_history, broken_history, Planted};
 
 /// Same shape, but ~each fourth write re-writes an existing (variable,
 /// value) pair: non-write-distinct, forcing the exhaustive fallback.
@@ -107,6 +85,29 @@ fn fastpath_violations_carry_an_explainable_pattern() {
             assert_eq!(explained.findings().len(), 1, "case {case}");
             assert!(!explained.render().is_empty(), "case {case}");
         }
+    }
+}
+
+#[test]
+fn planted_saturation_patterns_are_named_and_the_oracle_agrees() {
+    // The adversarial generator reaches the hb patterns in well under
+    // 1 % of its histories; these carry one each, behind a causal prefix.
+    use cmi_checker::BadPattern::{WriteHbInitRead, WriteHbRead};
+    for case in 0..200u64 {
+        let mut rng = SplitMix64::seed_from_u64(0x9A7C ^ case.wrapping_mul(0x9E37_79B9));
+        let planted = [Planted::HbRead, Planted::HbInitRead][case as usize % 2];
+        let h = broken_history(&mut rng, 6, planted);
+        assert!(h.validate_differentiated().is_ok(), "case {case}");
+        assert!(screen::screen(&h).is_clean(), "case {case}: no Co pattern");
+        let fast = wio::analyze(&h);
+        match (planted, &fast.pattern) {
+            (Planted::HbRead, Some(WriteHbRead { .. }))
+            | (Planted::HbInitRead, Some(WriteHbInitRead { .. })) => {}
+            (_, found) => panic!("case {case}: planted {planted:?}, found {found:?}\n{h}"),
+        }
+        let slow = causal::check_exhaustive(&h);
+        assert_ne!(slow.verdict, CausalVerdict::Unknown, "case {case}");
+        assert!(!slow.is_causal(), "case {case}: oracle disagrees\n{h}");
     }
 }
 

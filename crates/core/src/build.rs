@@ -26,7 +26,9 @@ use cmi_checker::MonitorReport;
 use cmi_memory::{
     Driver, NodeHost, OpPlan, ReplicaUpdate, ScriptedDriver, WorkloadDriver, WorkloadSpec,
 };
-use cmi_obs::{LineageEvent, LineageRecorder, MetricsRegistry, TelemetryConfig, TimeSeries};
+use cmi_obs::{
+    LineageEvent, LineageRecorder, MetricId, MetricsRegistry, TelemetryConfig, TimeSeries,
+};
 use cmi_sim::chaos::{self, ChaosEvent, ChaosEventKind, ChaosSpec};
 use cmi_sim::rng::derive_rng;
 use cmi_sim::tap::RunTap;
@@ -36,7 +38,7 @@ use cmi_types::{OpRecord, ProcId, SimTime, SystemId};
 use crate::actor::{AddressBook, WorldActor, CRASH_TIMER, POKE_TIMER, RECOVER_TIMER};
 use crate::isp::{IsProcess, IsVariant, LinkEnd};
 use crate::msg::WorldMsg;
-use crate::report::{visibility_of, LinkTraffic, RunReport};
+use crate::report::{FirstApplied, LinkTraffic, RunReport};
 use crate::spec::{BuildError, IsTopology, LinkSpec, SystemHandle, SystemSpec};
 
 /// A system as realized in a built world.
@@ -859,11 +861,14 @@ impl World {
                     .sim
                     .actor_mut::<WorldActor>(actor_id)
                     .expect("world actors are WorldActor");
-                chunk.streams.push(actor.host_mut().take_ops());
-                chunk.updates.push((*p, actor.host().updates().to_vec()));
-                chunk
-                    .responses
-                    .push((*p, actor.host().write_responses().to_vec()));
+                let host = actor.host_mut();
+                chunk.streams.push(host.take_ops());
+                // The log lives on in the report: hand back what its
+                // growth over-allocated.
+                let mut log = host.take_updates();
+                log.shrink_to_fit();
+                chunk.updates.push((*p, log));
+                chunk.responses.push((*p, host.take_write_responses()));
                 if let Some((ns, depth)) = actor.transport_totals(end_of_run) {
                     let t = transport.get_or_insert((0, 0));
                     t.0 += ns;
@@ -1312,15 +1317,28 @@ pub(crate) fn assemble_report(extracts: Vec<WorldExtract>, system_names: Vec<Str
     // cross-system direction (Section 6's "time until a value
     // written is visible in any other process").
     let global = full.filtered(|op| !isps.contains(&op.proc));
-    let visibility = visibility_of(&global, &updates);
-    for (id, wv) in global.writes().into_iter().zip(&visibility) {
-        let origin = system_of[&global.op(id).proc];
-        for (proc, at) in &wv.visible_at {
-            let lat = at.saturating_since(wv.issued_at).as_nanos() as f64;
-            metrics.observe("visibility.latency_ns", lat);
-            let dest = system_of[proc];
+    let first_applied = FirstApplied::of(&global, &updates);
+    let dest_of: Vec<SystemId> = (first_applied.procs().iter())
+        .map(|proc| system_of[proc])
+        .collect();
+    let overall = metrics.key("visibility.latency_ns");
+    // One histogram per ordered system pair, its name resolved the first
+    // time the pair is seen.
+    let n_systems = system_names.len();
+    let mut direction: Vec<Option<MetricId>> = vec![None; n_systems * n_systems];
+    for (id, row) in first_applied.rows() {
+        let op = global.op(id);
+        let origin = system_of[&op.proc];
+        for (&dest, at) in dest_of.iter().zip(row) {
+            let Some(at) = at else { continue };
+            let lat = at.saturating_since(op.at).as_nanos() as f64;
+            metrics.observe_id(overall, lat);
             if dest != origin {
-                metrics.observe(&format!("visibility.{origin}->{dest}.latency_ns"), lat);
+                let slot = &mut direction[origin.index() * n_systems + dest.index()];
+                let pair = *slot.get_or_insert_with(|| {
+                    metrics.key(&format!("visibility.{origin}->{dest}.latency_ns"))
+                });
+                metrics.observe_id(pair, lat);
             }
         }
     }
@@ -1498,5 +1516,65 @@ mod tests {
         b.enable_trace();
         let layout = b.layout().unwrap();
         assert_eq!(b.plan_groups(&layout), vec![vec![0, 1]]);
+    }
+
+    /// The visibility histograms as `assemble_report` filled them before
+    /// it resolved one id per system pair: a name formatted and looked
+    /// up for every (write, process) pair.
+    fn visibility_by_name(report: &RunReport) -> MetricsRegistry {
+        let mut metrics = MetricsRegistry::new();
+        let global = report.global_history();
+        for (id, wv) in global.writes().into_iter().zip(report.write_visibility()) {
+            let origin = report.system_of(global.op(id).proc).unwrap();
+            for (proc, at) in &wv.visible_at {
+                let lat = at.saturating_since(wv.issued_at).as_nanos() as f64;
+                metrics.observe("visibility.latency_ns", lat);
+                let dest = report.system_of(*proc).unwrap();
+                if dest != origin {
+                    metrics.observe(&format!("visibility.{origin}->{dest}.latency_ns"), lat);
+                }
+            }
+        }
+        metrics
+    }
+
+    fn assert_visibility_matches_by_name(report: &RunReport, directions: usize) {
+        let by_name = visibility_by_name(report);
+        let got: Vec<_> = (report.metrics().histograms())
+            .filter(|(name, _)| name.starts_with("visibility."))
+            .collect();
+        assert_eq!(got, by_name.histograms().collect::<Vec<_>>());
+        assert_eq!(got.len(), 1 + directions);
+    }
+
+    #[test]
+    fn visibility_histograms_match_the_by_name_loop_on_a_three_system_chain() {
+        let mut b = InterconnectBuilder::new().with_vars(3);
+        let a = b.add_system(spec("A", 3));
+        let c = b.add_system(SystemSpec::new("B", ProtocolKind::Frontier, 2));
+        let d = b.add_system(spec("C", 2));
+        b.link(a, c, LinkSpec::new(Duration::from_millis(3)));
+        b.link(c, d, LinkSpec::new(Duration::from_millis(5)));
+        let report = b.build(0x5EED).unwrap().run(&WorkloadSpec::small());
+        assert_visibility_matches_by_name(&report, 6);
+    }
+
+    #[test]
+    fn visibility_histograms_match_the_by_name_loop_on_sharded_islands() {
+        let mut b = InterconnectBuilder::new().with_vars(2);
+        for pair in 0..4 {
+            let a = b.add_system(spec(&format!("A{pair}"), 2));
+            let c = b.add_system(SystemSpec::new(
+                format!("B{pair}"),
+                ProtocolKind::Frontier,
+                2,
+            ));
+            b.link(a, c, LinkSpec::new(Duration::from_millis(2 + pair)));
+        }
+        let mut world = b.build_sharded(0x5EED, 2).unwrap();
+        assert_eq!(world.groups().len(), 4);
+        let report = world.run(&WorkloadSpec::small());
+        // Two directions per island, none across islands.
+        assert_visibility_matches_by_name(&report, 8);
     }
 }

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use cmi_memory::ReplicaUpdate;
 use cmi_obs::{Json, LineageRecorder, MetricsRegistry, TimeSeries, ToJson};
 use cmi_sim::{RunOutcome, TraceEntry, TrafficStats};
-use cmi_types::{History, ProcId, SimTime, SystemId, Value, VarId};
+use cmi_types::{History, OpId, ProcId, SimTime, SystemId, Value, VarId};
 
 use crate::isp::SentPair;
 
@@ -347,48 +347,85 @@ impl RunReport {
     /// # Ok::<(), cmi_core::BuildError>(())
     /// ```
     pub fn write_visibility(&self) -> Vec<WriteVisibility> {
-        visibility_of(&self.global_history(), &self.updates)
+        let global = self.global_history();
+        FirstApplied::of(&global, &self.updates).into_visibility(&global)
     }
 }
 
 /// When each write of `global` was first applied at each process of
-/// `updates`: one entry per write, in `global.writes()` order, its
-/// `visible_at` in `updates` key order.
+/// `updates`: one row per write in `global.writes()` order, one column
+/// per process in `updates` key order.
 ///
-/// Each replica log is indexed once by `(variable, value)`, keeping the
-/// first application of a pair; the indexes are only ever looked up, so
-/// the result's order comes from `global` and the `BTreeMap`s alone.
-pub(crate) fn visibility_of(
-    global: &History,
-    updates: &BTreeMap<ProcId, Vec<ReplicaUpdate>>,
-) -> Vec<WriteVisibility> {
-    let first_applied: Vec<_> = updates
-        .iter()
-        .map(|(proc, log)| {
-            let mut first = HashMap::with_capacity(log.len());
-            for u in log {
-                first.entry((u.var, u.val)).or_insert(u.at);
-            }
-            (*proc, first)
-        })
-        .collect();
-    global
-        .writes()
-        .into_iter()
-        .map(|id| {
+/// The writes are indexed once by `(variable, value)` and each replica
+/// log is walked once, its first entry for a pair winning; the index is
+/// only ever looked up, so the order of everything read out of the
+/// table comes from `global` and the `BTreeMap` alone.
+pub(crate) struct FirstApplied {
+    writes: Vec<OpId>,
+    procs: Vec<ProcId>,
+    /// `at[w · procs.len() + p]`: `None` if `procs[p]` never applied
+    /// the value of `writes[w]`.
+    at: Vec<Option<SimTime>>,
+}
+
+impl FirstApplied {
+    pub(crate) fn of(global: &History, updates: &BTreeMap<ProcId, Vec<ReplicaUpdate>>) -> Self {
+        let writes = global.writes();
+        let procs: Vec<ProcId> = updates.keys().copied().collect();
+        let width = procs.len();
+        let mut row_of = HashMap::with_capacity(writes.len());
+        // A pair written again shares the row of its first write.
+        let mut rewrites = Vec::new();
+        for (w, &id) in writes.iter().enumerate() {
             let op = global.op(id);
             let val = op.written_value().expect("writes() returns writes");
-            WriteVisibility {
-                var: op.var,
-                val,
-                issued_at: op.at,
-                visible_at: first_applied
-                    .iter()
-                    .filter_map(|(proc, first)| Some((*proc, *first.get(&(op.var, val))?)))
-                    .collect(),
+            if let Some(&first) = row_of.get(&(op.var, val)) {
+                rewrites.push((w, first));
+            } else {
+                row_of.insert((op.var, val), w);
             }
-        })
-        .collect()
+        }
+        let mut at = vec![None; writes.len() * width];
+        for (p, log) in updates.values().enumerate() {
+            for u in log {
+                if let Some(&w) = row_of.get(&(u.var, u.val)) {
+                    at[w * width + p].get_or_insert(u.at);
+                }
+            }
+        }
+        for (w, first) in rewrites {
+            at.copy_within(first * width..(first + 1) * width, w * width);
+        }
+        FirstApplied { writes, procs, at }
+    }
+
+    /// The table's columns: the keys of `updates`, in order.
+    pub(crate) fn procs(&self) -> &[ProcId] {
+        &self.procs
+    }
+
+    /// Each write with its row, in `global.writes()` order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (OpId, &[Option<SimTime>])> {
+        let width = self.procs.len();
+        (self.writes.iter().enumerate()).map(move |(w, &id)| (id, &self.at[w * width..][..width]))
+    }
+
+    /// One [`WriteVisibility`] per row, its `visible_at` in column order.
+    fn into_visibility(self, global: &History) -> Vec<WriteVisibility> {
+        self.rows()
+            .map(|(id, row)| {
+                let op = global.op(id);
+                WriteVisibility {
+                    var: op.var,
+                    val: op.written_value().expect("writes() returns writes"),
+                    issued_at: op.at,
+                    visible_at: (self.procs.iter().zip(row))
+                        .filter_map(|(proc, at)| Some((*proc, (*at)?)))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -398,7 +435,7 @@ mod tests {
     use cmi_types::OpRecord;
     use std::time::Duration;
 
-    /// The definition `visibility_of` must agree with: for every write
+    /// The definition [`FirstApplied`] must agree with: for every write
     /// and every process, the first entry of the process's log (in log
     /// order) that carries the written pair.
     fn visibility_by_scan(
@@ -426,15 +463,20 @@ mod tests {
     }
 
     #[test]
-    fn visibility_of_agrees_with_a_linear_scan_on_random_logs() {
+    fn first_applied_agrees_with_a_linear_scan_on_random_logs() {
         let sys = SystemId(0);
         let apps: Vec<ProcId> = (0..3).map(|i| ProcId::new(sys, i)).collect();
         let isp = ProcId::new(sys, 3);
-        let (mut repeated, mut missing, mut isp_only) = (0, 0, 0);
+        // (v) a process that applied nothing: an empty log is a column
+        // of the table and an entry of no `visible_at`.
+        let idle = ProcId::new(sys, 4);
+        let (mut repeated, mut missing, mut isp_only, mut rewritten) = (0, 0, 0, 0);
         for seed in 0..50 {
             let mut rng = SplitMix64::seed_from_u64(seed);
             let mut global = History::new();
             let mut updates: BTreeMap<ProcId, Vec<ReplicaUpdate>> = BTreeMap::new();
+            updates.insert(idle, Vec::new());
+            let mut written: Vec<(VarId, Value)> = Vec::new();
             for step in 0..40u32 {
                 let writer = apps[rng.gen_range(0..apps.len())];
                 let var = VarId(rng.gen_range(0..3u32));
@@ -443,7 +485,16 @@ mod tests {
                     global.record(OpRecord::read(writer, var, None, at));
                     continue;
                 }
+                // (iv) a pair written a second time: both writes of
+                // `global` look up the same first applications.
+                if !written.is_empty() && rng.gen_bool(0.1) {
+                    rewritten += 1;
+                    let (var, val) = written[rng.gen_range(0..written.len())];
+                    global.record(OpRecord::write(writer, var, val, at));
+                    continue;
+                }
                 let val = Value::new(writer, step);
+                written.push((var, val));
                 global.record(OpRecord::write(writer, var, val, at));
                 for &proc in apps.iter().chain([&isp]) {
                     // (ii) some processes never apply the write.
@@ -485,7 +536,9 @@ mod tests {
             for log in updates.values_mut() {
                 rng.shuffle(log);
             }
-            let indexed = visibility_of(&global, &updates);
+            let table = FirstApplied::of(&global, &updates);
+            assert_eq!(table.procs(), updates.keys().copied().collect::<Vec<_>>());
+            let indexed = table.into_visibility(&global);
             let scanned = visibility_by_scan(&global, &updates);
             let fields =
                 |wv: &WriteVisibility| (wv.var, wv.val, wv.issued_at, wv.visible_at.clone());
@@ -496,10 +549,12 @@ mod tests {
             );
             assert_eq!(indexed.len(), global.writes().len());
             assert!(indexed.iter().all(|wv| wv.val.origin() != isp));
+            assert!(indexed.iter().all(|wv| !wv.visible_at.contains_key(&idle)));
         }
         assert!(
-            repeated > 0 && missing > 0 && isp_only > 0,
-            "every case occurred: {repeated} repeated, {missing} missing, {isp_only} IS-only"
+            repeated > 0 && missing > 0 && isp_only > 0 && rewritten > 0,
+            "every case occurred: {repeated} repeated, {missing} missing, \
+             {isp_only} IS-only, {rewritten} rewritten"
         );
     }
 

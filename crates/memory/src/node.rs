@@ -365,6 +365,11 @@ impl NodeHost {
         &self.updates
     }
 
+    /// Consumes the replica-update log (end-of-run extraction).
+    pub fn take_updates(&mut self) -> Vec<ReplicaUpdate> {
+        std::mem::take(&mut self.updates)
+    }
+
     /// Received updates currently held back from the local replica
     /// (the protocol's causal-wait buffer depth).
     pub fn buffered(&self) -> usize {
@@ -374,6 +379,11 @@ impl NodeHost {
     /// Response time of every write call issued so far, in issue order.
     pub fn write_responses(&self) -> &[std::time::Duration] {
         &self.write_responses
+    }
+
+    /// Consumes the write response times (end-of-run extraction).
+    pub fn take_write_responses(&mut self) -> Vec<std::time::Duration> {
+        std::mem::take(&mut self.write_responses)
     }
 
     fn flush(&mut self, out: Outbox, sink: &mut dyn HostSink) {
@@ -658,6 +668,10 @@ mod tests {
         assert_eq!(h.ops().len(), 3);
         assert_eq!(h.take_ops().len(), 3);
         assert!(h.ops().is_empty());
+        assert_eq!(h.take_updates().len(), 1);
+        assert!(h.updates().is_empty());
+        assert_eq!(h.take_write_responses().len(), 1);
+        assert!(h.write_responses().is_empty());
     }
 
     #[test]

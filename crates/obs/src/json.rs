@@ -207,10 +207,14 @@ fn write_value(out: &mut String, v: &Json, indent: Option<usize>, level: usize) 
 }
 
 fn newline(out: &mut String, indent: Option<usize>, level: usize) {
+    const SPACES: &str = "                                                                ";
     if let Some(width) = indent {
         out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
+        let mut left = width * level;
+        while left > 0 {
+            let run = left.min(SPACES.len());
+            out.push_str(&SPACES[..run]);
+            left -= run;
         }
     }
 }
@@ -222,31 +226,59 @@ fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
+        write_integer(out, n as i64);
     } else {
         // `{:?}` is Rust's shortest round-trip float formatting.
         let _ = write!(out, "{n:?}");
     }
 }
 
+fn write_integer(out: &mut String, n: i64) {
+    // Sign and the 19 digits of `i64::MIN`.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 fn write_string(out: &mut String, s: &str) {
     use fmt::Write;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so the runs between
+    // them are whole characters and are copied as slices.
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "\\u",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        copied = i + 1;
+        out.push_str(escape);
+        if escape == "\\u" {
+            let _ = write!(out, "{b:04x}");
         }
     }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 
@@ -791,5 +823,129 @@ mod tests {
     fn pretty_output_is_indented() {
         let v = Json::obj([("a", Json::Arr(vec![Json::Num(1.0)]))]);
         assert_eq!(v.to_pretty(), "{\n  \"a\": [\n    1\n  ]\n}");
+    }
+
+    /// The writer as it was when it pushed one `char`, one space and
+    /// one `fmt::Write` integer at a time.
+    mod reference {
+        use std::fmt::Write;
+
+        pub fn newline(out: &mut String, indent: Option<usize>, level: usize) {
+            if let Some(width) = indent {
+                out.push('\n');
+                for _ in 0..width * level {
+                    out.push(' ');
+                }
+            }
+        }
+
+        pub fn write_number(out: &mut String, n: f64) {
+            if !n.is_finite() {
+                out.push_str("null");
+            } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+                let _ = write!(out, "{}", n as i64);
+            } else {
+                let _ = write!(out, "{n:?}");
+            }
+        }
+
+        pub fn write_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    '\u{8}' => out.push_str("\\b"),
+                    '\u{c}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    fn written(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
+    }
+
+    #[test]
+    fn writer_matches_the_char_by_char_reference() {
+        let mut strings: Vec<String> = (0u8..0x80).map(|b| char::from(b).to_string()).collect();
+        strings.extend((0u8..0x80).map(|b| format!("añ{}→𝄞", char::from(b))));
+        strings.extend(
+            [
+                "",
+                "plain",
+                "\"\"",
+                "\\\\n",
+                "tab\there",
+                "ünï→𝄞",
+                "\u{7f}\u{80}\u{9f}",
+            ]
+            .map(String::from),
+        );
+        strings.push((0u8..0x80).map(char::from).collect());
+        for s in &strings {
+            assert_eq!(
+                written(|out| write_string(out, s)),
+                written(|out| reference::write_string(out, s)),
+                "{s:?}"
+            );
+        }
+        let two_53 = 9_007_199_254_740_992.0;
+        let numbers = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            -10.0,
+            1e15,
+            -1e15,
+            1234567890123.0,
+            two_53,
+            -two_53,
+            two_53 - 1.0,
+            1.0 - two_53,
+            two_53 + 2.0,
+            1e300,
+            -1e300,
+            0.5,
+            -0.5,
+            0.1,
+            1e-7,
+            3.75,
+            -123.456,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for n in numbers {
+            assert_eq!(
+                written(|out| write_number(out, n)),
+                written(|out| reference::write_number(out, n)),
+                "{n:?}"
+            );
+        }
+        for level in 0..80 {
+            for indent in [None, Some(0), Some(2), Some(3)] {
+                assert_eq!(
+                    written(|out| newline(out, indent, level)),
+                    written(|out| reference::newline(out, indent, level)),
+                    "{indent:?} × {level}"
+                );
+            }
+        }
     }
 }
