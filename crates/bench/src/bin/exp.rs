@@ -1,27 +1,23 @@
 //! The experiment runner: every experiment of the suite behind one binary.
 //!
-//!   exp <id> [--json PATH] [--check BASELINE] [--quick] [--jobs N]
+//!   exp <id> [--json PATH] [--check BASELINE]
 //!   exp all [--jobs N] [--json PATH]
 //!   exp --list        ids and titles, in suite order
 //!   exp --gated       `id<TAB>baseline` per baseline-gated experiment
 //!
-//! `exp <id>` prints the experiment's deterministic report; a gated
-//! experiment (X18–X24) then runs its measurement and prints that table
-//! too. `exp all` prints every report in registry order (the source of
+//! `exp <id>` prints the experiment's deterministic report. `exp all`
+//! prints every report in registry order (the source of
 //! `experiments_output.txt`); with `--jobs N` they run on N worker
 //! threads and the bytes do not change.
 //!
 //!   --json PATH       write the experiment's artifact (a gated
-//!                     experiment's measurement, X17's lineage artifact,
-//!                     or for `all` the whole suite plus an instrumented
-//!                     sample run)
-//!   --check BASELINE  compare the fresh measurement against a committed
-//!                     baseline (see `cmi_bench::gate`); exit nonzero on
-//!                     any violation
-//!   --quick           fast smoke measurement (fewer reps; the slow
-//!                     timing fields are omitted and not compared)
-//!   --jobs N          worker count for `all` (default 1) and for X18's
-//!                     parallel suite pass (default 4)
+//!                     experiment's structural facts, X17's lineage
+//!                     artifact, or for `all` the whole suite plus an
+//!                     instrumented sample run)
+//!   --check BASELINE  compare the artifact's structural facts against a
+//!                     committed baseline (see `cmi_bench::gate`); exit
+//!                     nonzero on any violation
+//!   --jobs N          worker count for `all` (default 1)
 
 use std::process::ExitCode;
 
@@ -30,7 +26,7 @@ use cmi_bench::gate;
 use cmi_obs::Json;
 
 const USAGE: &str =
-    "usage: exp <id>|all [--json PATH] [--check BASELINE] [--quick] [--jobs N] | --list | --gated";
+    "usage: exp <id> [--json PATH] [--check BASELINE] | all [--jobs N] [--json PATH] | --list | --gated";
 
 fn write_json(target: &str, path: &str, artifact: &Json) -> Result<(), String> {
     std::fs::write(path, artifact.to_pretty() + "\n")
@@ -40,8 +36,7 @@ fn write_json(target: &str, path: &str, artifact: &Json) -> Result<(), String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let (mut target, mut json_out, mut check_path) = (None, None, None);
-    let (mut jobs, mut quick) = (None, false);
+    let (mut target, mut json_out, mut check_path, mut jobs) = (None, None, None, None);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -53,13 +48,12 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             "--gated" => {
                 for exp in REGISTRY {
-                    if let Some(gate) = exp.gate {
+                    if let Some(gate) = &exp.gate {
                         println!("{}\t{}", exp.id, gate.baseline);
                     }
                 }
                 return Ok(());
             }
-            "--quick" => quick = true,
             "--json" | "--check" | "--jobs" => {
                 let value = it
                     .next()
@@ -102,30 +96,32 @@ fn run(args: &[String]) -> Result<(), String> {
                 ids.join(" ")
             )
         })?;
+    if jobs.is_some() {
+        return Err(format!("--jobs applies to all, not to {target}"));
+    }
     if check_path.is_some() && exp.gate.is_none() {
         return Err(format!(
             "{target} has no baseline gate (see exp --gated), --check does not apply"
         ));
     }
-    if json_out.is_some() && exp.gate.is_none() && exp.artifact.is_none() {
+    if json_out.is_some() && exp.artifact.is_none() {
         return Err(format!(
             "{target} has no JSON artifact, --json does not apply"
         ));
     }
 
     print!("{}", (exp.run)());
-    let Some(gate) = exp.gate else {
-        if let (Some(path), Some(artifact)) = (json_out, exp.artifact) {
-            write_json(target, path, &artifact())?;
-        }
+    let Some(measure) = exp
+        .artifact
+        .filter(|_| json_out.is_some() || check_path.is_some())
+    else {
         return Ok(());
     };
-    let (table, artifact) = (gate.measure)(quick, jobs);
-    print!("{table}");
+    let artifact = measure();
     if let Some(path) = json_out {
         write_json(target, path, &artifact)?;
     }
-    let Some(path) = check_path else {
+    let (Some(path), Some(gate)) = (check_path, &exp.gate) else {
         return Ok(());
     };
     let text =

@@ -28,6 +28,9 @@ pub mod x22_telemetry;
 pub mod x23_shard;
 pub mod x24_scale;
 
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
 use cmi_obs::Json;
 
 use crate::gate::Gate;
@@ -41,12 +44,11 @@ pub struct Experiment {
     pub title: &'static str,
     /// The deterministic report (no wall-clock numbers).
     pub run: fn() -> String,
-    /// Structured artifact written by `--json`, for experiments that
-    /// have one without being measured.
+    /// Structured artifact written by `--json` and, for a gated
+    /// experiment, compared by `--check`.
     pub artifact: Option<fn() -> Json>,
-    /// The measured, baseline-gated arm, if any; its artifact is what
-    /// `--json` writes and `--check` compares.
-    pub gate: Option<&'static Gate>,
+    /// The committed baseline the artifact is held to, if any.
+    pub gate: Option<Gate>,
 }
 
 /// An experiment that only prints its report.
@@ -60,15 +62,19 @@ const fn plain(id: &'static str, title: &'static str, run: fn() -> String) -> Ex
     }
 }
 
-/// A measured experiment held to a committed baseline.
+/// An experiment whose artifact is held to a committed baseline:
+/// `section` names the key its block sits under in a shared file.
 const fn gated(
     id: &'static str,
     title: &'static str,
     run: fn() -> String,
-    gate: &'static Gate,
+    measure: fn() -> Json,
+    baseline: &'static str,
+    section: Option<&'static str>,
 ) -> Experiment {
     Experiment {
-        gate: Some(gate),
+        artifact: Some(measure),
+        gate: Some(Gate { baseline, section }),
         ..plain(id, title, run)
     }
 }
@@ -99,6 +105,26 @@ pub(crate) fn cache_cell(v: &cmi_checker::CacheVerdict) -> &'static str {
         cmi_checker::CacheVerdict::NotCacheConsistent { .. } => "false",
         cmi_checker::CacheVerdict::Unknown { .. } => "unknown",
     }
+}
+
+/// Wall-clock ratio `measured / reference`, calibrated in this process:
+/// the two arms run interleaved and each keeps the fastest of a few
+/// repetitions, so load that comes and goes hits both arms alike.
+pub(crate) fn calibrated_ratio<A, B>(
+    mut reference: impl FnMut() -> A,
+    mut measured: impl FnMut() -> B,
+) -> f64 {
+    const REPS: usize = 5;
+    let (mut best_ref, mut best_measured) = (Duration::MAX, Duration::MAX);
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        black_box(reference());
+        best_ref = best_ref.min(t0.elapsed());
+        let t0 = Instant::now();
+        black_box(measured());
+        best_measured = best_measured.min(t0.elapsed());
+    }
+    best_measured.as_secs_f64() / best_ref.as_secs_f64().max(1e-9)
 }
 
 /// Runs every experiment on up to `jobs` worker threads and
@@ -155,12 +181,6 @@ pub fn sample_run_json() -> Json {
     report.to_json()
 }
 
-/// `(title, runner)` per experiment, in suite order: what `cmi-cli list`
-/// and `cmi-cli experiments` iterate.
-pub fn registry() -> impl Iterator<Item = (&'static str, fn() -> String)> {
-    REGISTRY.iter().map(|exp| (exp.title, exp.run))
-}
-
 /// The experiment registry, in suite order.
 pub const REGISTRY: &[Experiment] = &[
     plain("x1", "X1 protocol trace (Figs. 1-3)", x01_trace::run),
@@ -215,43 +235,57 @@ pub const REGISTRY: &[Experiment] = &[
         "x18",
         "X18 perf baseline (extension)",
         x18_perf::run,
-        &x18_perf::GATE,
+        x18_perf::measure,
+        "BENCH_PERF.json",
+        None,
     ),
     gated(
         "x19",
         "X19 checker scaling (extension)",
         x19_checker::run,
-        &x19_checker::GATE,
+        x19_checker::measure,
+        "BENCH_CHECK.json",
+        None,
     ),
     gated(
         "x20",
         "X20 online causal monitor (extension)",
         x20_monitor::run,
-        &x20_monitor::GATE,
+        x20_monitor::measure,
+        "BENCH_MONITOR.json",
+        None,
     ),
     gated(
         "x21",
         "X21 churn under chaos: membership & partitions (extension)",
         x21_chaos::run,
-        &x21_chaos::GATE,
+        x21_chaos::measure,
+        "BENCH_CHAOS.json",
+        None,
     ),
     gated(
         "x22",
         "X22 flight-recorder telemetry (extension)",
         x22_telemetry::run,
-        &x22_telemetry::GATE,
+        x22_telemetry::measure,
+        "BENCH_TELEMETRY.json",
+        None,
     ),
     gated(
         "x23",
         "X23 sharded engine: throughput & replay identity (extension)",
         x23_shard::run,
-        &x23_shard::GATE,
+        x23_shard::measure,
+        "BENCH_PERF.json",
+        Some("x23"),
     ),
     gated(
         "x24",
         "X24 large-m scale-out: hub-of-hubs & O(1) metadata (extension)",
         x24_scale::run,
-        &x24_scale::GATE,
+        x24_scale::measure,
+        "BENCH_X24.json",
+        None,
     ),
 ];
 
@@ -281,27 +315,46 @@ mod tests {
         );
     }
 
-    /// A gate naming a key its committed baseline lacks would silently
-    /// skip (timing) or fail only in `verify.sh` (structural).
+    /// Every committed baseline of a gated experiment holds only
+    /// deterministic facts: no `timing` block anywhere, and every boolean
+    /// under `structural` is `true` (a fact pinned at `false` would make
+    /// the gate demand the failure).
     #[test]
-    fn every_gate_names_only_keys_its_committed_baseline_has() {
-        for exp in REGISTRY {
-            let Some(gate) = exp.gate else { continue };
-            let baseline = Json::parse(&repo_file(gate.baseline)).expect(gate.baseline);
-            let section = match gate.section {
-                Some(key) => baseline.get(key).expect(key),
-                None => &baseline,
-            };
-            for (block, keys) in [("structural", gate.structural), ("timing", gate.timing)] {
-                for key in keys {
-                    assert!(
-                        crate::gate::path(section, &[block, key]).is_some(),
-                        "{}: {} has no {block}.{key}",
-                        exp.id,
-                        gate.baseline
-                    );
+    fn every_committed_baseline_is_structural_and_true() {
+        fn walk(json: &Json, path: &str, under_structural: bool) {
+            match json {
+                Json::Obj(pairs) => {
+                    for (key, value) in pairs {
+                        assert_ne!(key, "timing", "{path} has a timing block");
+                        let structural = under_structural || key == "structural";
+                        walk(value, &format!("{path}.{key}"), structural);
+                    }
                 }
+                Json::Arr(items) => {
+                    for (i, item) in items.iter().enumerate() {
+                        walk(item, &format!("{path}[{i}]"), under_structural);
+                    }
+                }
+                Json::Bool(b) => assert!(!under_structural || *b, "{path} is false"),
+                _ => {}
             }
+        }
+        for exp in REGISTRY {
+            let Some(gate) = &exp.gate else { continue };
+            let baseline = Json::parse(&repo_file(gate.baseline)).expect(gate.baseline);
+            let section = gate
+                .section
+                .map_or(Some(&baseline), |key| baseline.get(key));
+            let structural = section.and_then(|s| s.get("structural"));
+            assert!(
+                structural
+                    .and_then(Json::as_object)
+                    .is_some_and(|f| !f.is_empty()),
+                "{}: {} has no structural block",
+                exp.id,
+                gate.baseline
+            );
+            walk(&baseline, gate.baseline, false);
         }
     }
 }

@@ -9,16 +9,15 @@
 //! cost. This experiment sweeps history sizes from 100 to 100 000
 //! operations and records, per size, each engine's verdict and step
 //! count (deterministic, pinned in `experiments_output.txt`), plus
-//! injected-violation and non-write-distinct arms. Wall-clock numbers
-//! live exclusively in `exp x19`, which emits the regression-gated
-//! `BENCH_CHECK.json` artifact, mirroring X18.
+//! injected-violation and non-write-distinct arms. `exp x19 --json`
+//! writes the sweep's facts as the `BENCH_CHECK.json` baseline; checker
+//! wall time is measured by `benchmark/` (`checker.causal.check_s`).
 
 use cmi_checker::{causal, litmus, CausalVerdict, CheckEngine};
-use cmi_obs::{bench, Json, ToJson};
+use cmi_obs::{Json, ToJson};
 use cmi_sim::SplitMix64;
 use cmi_types::{History, OpRecord, ProcId, SimTime, SystemId, Value, VarId};
 
-use crate::gate::Gate;
 use crate::table::Table;
 
 /// Processes of the generated replicated store.
@@ -27,11 +26,8 @@ pub const PROCS: u32 = 6;
 pub const VARS: u32 = 8;
 /// The ops sweep.
 pub const SIZES: [usize; 4] = [100, 1_000, 10_000, 100_000];
-/// Largest size the exhaustive engine runs at in the deterministic
-/// report (and in `--quick` measurements).
+/// Largest size the exhaustive engine runs at.
 pub const EXHAUSTIVE_CEILING: usize = 1_000;
-/// Extra exhaustive size measured only in full (non-quick) runs.
-const DEEP_EXHAUSTIVE: usize = 2_000;
 
 /// Causal-by-construction replicated-store history: every process
 /// applies the global write sequence in order with a small random lag,
@@ -228,9 +224,9 @@ pub fn run() -> String {
     let parity = litmus_parity();
     out.push_str(&format!(
         "\nlitmus zoo parity (default engine vs exhaustive oracle): {}\n\
-         wall-clock scaling (fast path vs exhaustive per size) is emitted by\n\
-         `exp x19` into BENCH_CHECK.json and regression-checked by\n\
-         scripts/verify.sh.\n",
+         these facts are pinned in BENCH_CHECK.json (`exp x19 --check`);\n\
+         checker wall time is measured by benchmark/\n\
+         (checker.causal.check_s).\n",
         if parity {
             "agree on all histories"
         } else {
@@ -248,90 +244,21 @@ fn litmus_parity() -> bool {
         .all(|(_, h)| causal::check(h).is_causal() == causal::check_exhaustive(h).is_causal())
 }
 
-/// Runs the measured benchmark. Returns the human table and the
-/// `BENCH_CHECK.json` artifact. `quick` limits the exhaustive timing to
-/// [`EXHAUSTIVE_CEILING`]; structural fields are identical either way.
-pub fn measure(quick: bool) -> (String, Json) {
-    let mut out = String::new();
-    let mut timing: Vec<(&str, Json)> = Vec::new();
-    let mut t = Table::new(
-        "wall time per engine and history size (median)",
-        &["ops", "fast path", "exhaustive", "ratio"],
-    );
-
-    // Structural facts, computed identically in quick and full runs.
+/// The `BENCH_CHECK.json` artifact: the sweep's structural facts.
+pub fn measure() -> Json {
     let mut fast_all_causal = true;
     let mut fast_definitive = true;
     let mut exhaustive_agree_small = true;
-
-    let mut fast_ms = Vec::new();
     for &ops in &SIZES {
         let h = causal_history(SWEEP_SEED, ops);
         let report = causal::check(&h);
         fast_all_causal &= report.is_causal();
         fast_definitive &=
             report.verdict != CausalVerdict::Unknown && report.engine == CheckEngine::FastPath;
-        let res = bench("x19/fastpath", 1, 3, || causal::check(&h));
-        fast_ms.push(res.median_ns() / 1e6);
         if ops <= EXHAUSTIVE_CEILING {
             let ex = causal::check_exhaustive(&h);
             exhaustive_agree_small &= ex.is_causal() == report.is_causal();
         }
-    }
-
-    let mut exhaustive_sizes: Vec<usize> = SIZES
-        .iter()
-        .copied()
-        .filter(|&s| s <= EXHAUSTIVE_CEILING)
-        .collect();
-    if !quick {
-        exhaustive_sizes.push(DEEP_EXHAUSTIVE);
-    }
-    let mut exhaustive_ms = Vec::new();
-    for &ops in &exhaustive_sizes {
-        let h = causal_history(SWEEP_SEED, ops);
-        let res = bench("x19/exhaustive", 1, 3, || causal::check_exhaustive(&h));
-        exhaustive_ms.push(res.median_ns() / 1e6);
-    }
-
-    for (i, &ops) in SIZES.iter().enumerate() {
-        let ex = exhaustive_sizes
-            .iter()
-            .position(|&s| s == ops)
-            .map(|j| exhaustive_ms[j]);
-        t.row(&[
-            ops.to_string(),
-            format!("{:.2} ms", fast_ms[i]),
-            ex.map_or("—".into(), |ms| format!("{ms:.2} ms")),
-            ex.map_or("—".into(), |ms| {
-                format!("{:.1}x", ms / fast_ms[i].max(1e-6))
-            }),
-        ]);
-    }
-    out.push_str(&t.to_string());
-
-    for (i, &ops) in SIZES.iter().enumerate() {
-        timing.push((
-            match ops {
-                100 => "fastpath_ms_100",
-                1_000 => "fastpath_ms_1000",
-                10_000 => "fastpath_ms_10000",
-                100_000 => "fastpath_ms_100000",
-                _ => unreachable!("sweep size without a timing key"),
-            },
-            fast_ms[i].to_json(),
-        ));
-    }
-    for (j, &ops) in exhaustive_sizes.iter().enumerate() {
-        timing.push((
-            match ops {
-                100 => "exhaustive_ms_100",
-                1_000 => "exhaustive_ms_1000",
-                2_000 => "exhaustive_ms_2000",
-                _ => unreachable!("exhaustive size without a timing key"),
-            },
-            exhaustive_ms[j].to_json(),
-        ));
     }
 
     // Violation arms: both must be detected, by the fast path.
@@ -350,7 +277,7 @@ pub fn measure(quick: bool) -> (String, Json) {
     let fallback_off_fast_path =
         causal::check(&duplicated_history(SWEEP_SEED, 200)).engine != CheckEngine::FastPath;
 
-    let artifact = Json::obj([
+    Json::obj([
         ("experiment", Json::Str("X19 checker scaling".into())),
         (
             "structural",
@@ -369,38 +296,8 @@ pub fn measure(quick: bool) -> (String, Json) {
                 ("litmus_parity", litmus_parity().to_json()),
             ]),
         ),
-        ("timing", Json::obj(timing)),
-    ]);
-    (out, artifact)
+    ])
 }
-
-/// X19's share of the baseline gate.
-pub const GATE: Gate = Gate {
-    baseline: "BENCH_CHECK.json",
-    section: None,
-    structural: &[
-        "sizes",
-        "procs",
-        "vars",
-        "fast_all_causal",
-        "fast_definitive",
-        "exhaustive_agree_small",
-        "violations_detected",
-        "fallback_off_fast_path",
-        "litmus_parity",
-    ],
-    timing: &[
-        "fastpath_ms_100",
-        "fastpath_ms_1000",
-        "fastpath_ms_10000",
-        "fastpath_ms_100000",
-        "exhaustive_ms_100",
-        "exhaustive_ms_1000",
-        "exhaustive_ms_2000",
-    ],
-    measure: |quick, _| measure(quick),
-    extra: None,
-};
 
 #[cfg(test)]
 mod tests {

@@ -10,30 +10,29 @@
 //! monitor's verdict and bounded-state footprint (deterministic, pinned
 //! in `experiments_output.txt`), plus first-violation alerting arms and
 //! a faulted simulation arm (30 % frame loss over the reliable
-//! transport) on which the monitor must stay quiet. Wall-clock overhead
-//! numbers (online vs offline fast path) live exclusively in
-//! `exp x20`, which emits the regression-gated `BENCH_MONITOR.json`
-//! artifact, mirroring X18/X19.
+//! transport) on which the monitor must stay quiet. `exp x20 --json`
+//! writes those facts as the `BENCH_MONITOR.json` baseline, together
+//! with `overhead_ok`: at the largest size the monitor, timed in the same
+//! process against the offline fast path, costs at most
+//! [`OVERHEAD_LIMIT`] times as much.
 
 use std::time::Duration;
 
 use cmi_checker::{wio, MonitorConfig, MonitorReport, OnlineMonitor};
 use cmi_core::{InterconnectBuilder, LinkSpec, ReliableConfig, SystemSpec};
 use cmi_memory::{ProtocolKind, WorkloadSpec};
-use cmi_obs::{bench, Json, ToJson};
+use cmi_obs::{Json, ToJson};
 use cmi_types::{History, ProcId, SystemId};
 
 use super::x19_checker::{causal_history, saturation_history, stale_read_history, PROCS, VARS};
-use crate::gate::Gate;
 use crate::table::Table;
 
-/// The ops sweep (the offline fast path is re-timed on the same
-/// histories for the overhead ratio).
+/// The ops sweep.
 pub const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 
 /// Online overhead gate: at the largest size the monitor must finish
 /// within this factor of the offline fast path.
-pub const OVERHEAD_LIMIT: f64 = 3.0;
+pub const OVERHEAD_LIMIT: f64 = 2.0;
 
 /// Sublinearity gate: a 10× ops growth (10⁴ → 10⁵) must grow the
 /// retirement-governed peak state by strictly less than this factor.
@@ -152,8 +151,8 @@ pub fn run() -> String {
     out.push_str(&format!(
         "\nfaulted arm (30% loss, reliable transport): monitor {} over {} live ops, \
          peak frontier {}\n\
-         online-vs-offline overhead per size is emitted by `exp x20` into\n\
-         BENCH_MONITOR.json and regression-checked by scripts/verify.sh.\n",
+         these facts and overhead_ok (online <= {OVERHEAD_LIMIT}x offline, timed in-process)\n\
+         are pinned in BENCH_MONITOR.json (`exp x20 --check`).\n",
         if mon.is_clean() { "quiet" } else { "FIRED" },
         mon.ops_seen,
         mon.peak_frontier,
@@ -161,66 +160,20 @@ pub fn run() -> String {
     out
 }
 
-/// Runs the measured benchmark. Returns the human table and the
-/// `BENCH_MONITOR.json` artifact. `quick` uses a single timing rep per
-/// size instead of a median of three; structural fields are identical
-/// either way.
-pub fn measure(quick: bool) -> (String, Json) {
-    let reps = if quick { 1 } else { 3 };
-    let mut out = String::new();
-    let mut timing: Vec<(&str, Json)> = Vec::new();
-    let mut t = Table::new(
-        "wall time per engine and history size (median)",
-        &["ops", "offline fast path", "online monitor", "overhead"],
-    );
-
-    // Structural facts, computed identically in quick and full runs.
+/// The `BENCH_MONITOR.json` artifact: the sweep's structural facts.
+pub fn measure() -> Json {
     let mut quiet_on_causal = true;
     let mut verdict_agreement = true;
     let mut peaks = Vec::new();
-    let mut overhead_at_max = 0.0f64;
-
     for &ops in &SIZES {
         let h = causal_history(SWEEP_SEED, ops);
-        let offline = wio::analyze(&h);
         let rep = monitored(&h);
         quiet_on_causal &= rep.is_clean() && rep.violation.is_none();
-        verdict_agreement &= offline.verdict.is_causal() == rep.verdict.is_causal();
+        verdict_agreement &= wio::analyze(&h).verdict.is_causal() == rep.verdict.is_causal();
         peaks.push(rep.peak_state_bytes);
-
-        let off = bench("x20/offline", 1, reps, || wio::analyze(&h));
-        let on = bench("x20/online", 1, reps, || monitored(&h));
-        let (off_ms, on_ms) = (off.median_ns() / 1e6, on.median_ns() / 1e6);
-        let overhead = on_ms / off_ms.max(1e-6);
-        if ops == *SIZES.last().expect("non-empty sweep") {
-            overhead_at_max = overhead;
-        }
-        t.row(&[
-            ops.to_string(),
-            format!("{off_ms:.2} ms"),
-            format!("{on_ms:.2} ms"),
-            format!("{overhead:.2}x"),
-        ]);
-        timing.push((
-            match ops {
-                1_000 => "offline_ms_1000",
-                10_000 => "offline_ms_10000",
-                100_000 => "offline_ms_100000",
-                _ => unreachable!("sweep size without a timing key"),
-            },
-            off_ms.to_json(),
-        ));
-        timing.push((
-            match ops {
-                1_000 => "online_ms_1000",
-                10_000 => "online_ms_10000",
-                100_000 => "online_ms_100000",
-                _ => unreachable!("sweep size without a timing key"),
-            },
-            on_ms.to_json(),
-        ));
     }
-    out.push_str(&t.to_string());
+    let largest = causal_history(SWEEP_SEED, SIZES[SIZES.len() - 1]);
+    let overhead = super::calibrated_ratio(|| wio::analyze(&largest), || monitored(&largest));
 
     // Violation arms: the monitor must fire at the exact closing op and
     // agree with the offline fast path.
@@ -238,12 +191,12 @@ pub fn measure(quick: bool) -> (String, Json) {
     }
 
     let peak_state_sublinear = (peaks[2] as f64) < SUBLINEAR_LIMIT * (peaks[1] as f64);
-    let overhead_ok = overhead_at_max <= OVERHEAD_LIMIT;
+    let overhead_ok = overhead <= OVERHEAD_LIMIT;
     let faulted = faulted_run();
     let faulted_mon = faulted.monitor().expect("monitor enabled");
     let faulted_quiet = faulted_mon.is_clean() && faulted_mon.ops_seen > 0;
 
-    let artifact = Json::obj([
+    Json::obj([
         ("experiment", Json::Str("X20 online monitor".into())),
         (
             "structural",
@@ -262,37 +215,8 @@ pub fn measure(quick: bool) -> (String, Json) {
                 ("faulted_quiet", faulted_quiet.to_json()),
             ]),
         ),
-        ("timing", Json::obj(timing)),
-    ]);
-    (out, artifact)
+    ])
 }
-
-/// X20's share of the baseline gate.
-pub const GATE: Gate = Gate {
-    baseline: "BENCH_MONITOR.json",
-    section: None,
-    structural: &[
-        "sizes",
-        "procs",
-        "vars",
-        "quiet_on_causal",
-        "verdict_agreement",
-        "violation_op_exact",
-        "peak_state_sublinear",
-        "overhead_ok",
-        "faulted_quiet",
-    ],
-    timing: &[
-        "offline_ms_1000",
-        "offline_ms_10000",
-        "offline_ms_100000",
-        "online_ms_1000",
-        "online_ms_10000",
-        "online_ms_100000",
-    ],
-    measure: |quick, _| measure(quick),
-    extra: None,
-};
 
 #[cfg(test)]
 mod tests {

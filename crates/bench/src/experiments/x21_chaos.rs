@@ -13,20 +13,20 @@
 //! (`isp.propagate_in` vs the bounded-queue and membership casualties).
 //! Two arms mirror X20's alerting idiom: a composed schedule must
 //! replay byte-identically, and a stale read injected into a partitioned
-//! run's surviving history must fire at the exact closing op. Wall-clock
-//! numbers live exclusively in `exp x21`, which emits the
-//! regression-gated `BENCH_CHAOS.json` artifact.
+//! run's surviving history must fire at the exact closing op.
+//! `exp x21 --json` writes the sweep's facts as the `BENCH_CHAOS.json`
+//! baseline; chaos wall time is measured by `benchmark/` (the
+//! `chaos_lossy` workload's `e2e_wall_s`).
 
 use std::time::Duration;
 
 use cmi_checker::{wio, MonitorConfig, OnlineMonitor};
 use cmi_core::{InterconnectBuilder, LinkSpec, ReliableConfig, RunReport, SystemSpec, World};
 use cmi_memory::{ProtocolKind, WorkloadSpec};
-use cmi_obs::{bench, Json, ToJson};
+use cmi_obs::{Json, ToJson};
 use cmi_sim::{ChannelSpec, ChaosSpec, FaultSpec};
 use cmi_types::{OpRecord, ProcId, SimTime, Value, VarId};
 
-use crate::gate::Gate;
 use crate::table::Table;
 
 /// Topology axis of the sweep.
@@ -275,20 +275,14 @@ pub fn run() -> String {
     out.push_str(&format!(
         "stale read injected under partition: fired at op {at} (expected {expected}), \
          pattern {pattern}\n\
-         wall-clock numbers are emitted by `exp x21` into BENCH_CHAOS.json\n\
-         and regression-checked by scripts/verify.sh.\n"
+         these facts are pinned in BENCH_CHAOS.json (`exp x21 --check`);\n\
+         chaos wall time is measured by benchmark/ (chaos_lossy e2e_wall_s).\n"
     ));
     out
 }
 
-/// Runs the measured benchmark. Returns the human table and the
-/// `BENCH_CHAOS.json` artifact. `quick` uses a single timing rep
-/// instead of a median of three; structural fields are identical
-/// either way.
-pub fn measure(quick: bool) -> (String, Json) {
-    let reps = if quick { 1 } else { 3 };
-
-    // Structural facts over the full sweep.
+/// The `BENCH_CHAOS.json` artifact: the sweep's structural facts.
+pub fn measure() -> Json {
     let mut all_cells_causal = true;
     let mut delivered_positive = true;
     let mut total_shed = 0u64;
@@ -306,28 +300,7 @@ pub fn measure(quick: bool) -> (String, Json) {
     let (fired, expected) = stale_read_under_partition();
     let stale_read_fires_at_closing_op = fired.as_ref().is_some_and(|(op, _)| *op == expected);
 
-    // Wall-clock arms: the full monitored sweep and one composed run.
-    let sweep = bench("x21/sweep", 1, reps, || {
-        for (idx, (topology, churn, partition_ms, loss)) in cells().into_iter().enumerate() {
-            run_cell(topology, churn, partition_ms, loss, idx);
-        }
-    });
-    let replay = bench("x21/replay", 1, reps, composed_replay);
-    let (sweep_ms, replay_ms) = (sweep.median_ns() / 1e6, replay.median_ns() / 1e6);
-
-    let mut t = Table::new("wall time (median)", &["arm", "runs", "time"]);
-    t.row(&[
-        "monitored sweep".into(),
-        cells().len().to_string(),
-        format!("{sweep_ms:.2} ms"),
-    ]);
-    t.row(&[
-        "composed replay ×3".into(),
-        "3".into(),
-        format!("{replay_ms:.2} ms"),
-    ]);
-
-    let artifact = Json::obj([
+    Json::obj([
         ("experiment", Json::Str("X21 chaos churn".into())),
         (
             "structural",
@@ -365,38 +338,8 @@ pub fn measure(quick: bool) -> (String, Json) {
                 ),
             ]),
         ),
-        (
-            "timing",
-            Json::obj([
-                ("sweep_ms", sweep_ms.to_json()),
-                ("replay_ms", replay_ms.to_json()),
-            ]),
-        ),
-    ]);
-    (t.to_string(), artifact)
+    ])
 }
-
-/// X21's share of the baseline gate.
-pub const GATE: Gate = Gate {
-    baseline: "BENCH_CHAOS.json",
-    section: None,
-    structural: &[
-        "topologies",
-        "churn_cycles",
-        "partition_ms",
-        "loss",
-        "all_cells_causal",
-        "delivered_positive",
-        "sheds_under_pressure",
-        "attach_resyncs",
-        "replay_identical",
-        "composed_quiet",
-        "stale_read_fires_at_closing_op",
-    ],
-    timing: &["sweep_ms", "replay_ms"],
-    measure: |quick, _| measure(quick),
-    extra: None,
-};
 
 #[cfg(test)]
 mod tests {

@@ -15,18 +15,18 @@
 //! online monitor sampling causality live (m ≤ 64): the monitor must
 //! stay quiet, the per-frame delivery condition must never fire, and
 //! frames shipped inside attach/resync windows must fall back to
-//! explicit clocks (`isp.frames_clocked`). Wall-clock numbers live
-//! exclusively in `exp x24`, which emits the regression-gated
-//! `BENCH_X24.json` artifact.
+//! explicit clocks (`isp.frames_clocked`). `exp x24 --json` writes the
+//! sweep's facts as the `BENCH_X24.json` baseline; wall time at this
+//! scale is measured by `benchmark/` (the `hub256_wide` workload's
+//! `e2e_wall_s`).
 
 use std::time::Duration;
 
 use cmi_core::{InterconnectBuilder, IsTopology, LinkSpec, ReliableConfig, TopologySpec, World};
 use cmi_memory::{ProtocolKind, WorkloadSpec};
-use cmi_obs::{bench, Json, ToJson};
+use cmi_obs::{Json, ToJson};
 use cmi_sim::{ChannelSpec, ChaosSpec};
 
-use crate::gate::Gate;
 use crate::table::Table;
 
 /// The m axis: every power of two from 2 to 256.
@@ -216,19 +216,14 @@ pub fn run() -> String {
         "\nexplicit-clock fallback for comparison: {c4} B/frame at m=4, \
          {c64} B/frame at m=64 (3 + 8m, linear) — the steady-state O(1) \
          path stays at 9 B/frame for every m.\n\
-         wall-clock numbers are emitted by `exp x24` into BENCH_X24.json\n\
-         and regression-checked by scripts/verify.sh.\n"
+         these facts are pinned in BENCH_X24.json (`exp x24 --check`);\n\
+         hub wall time is measured by benchmark/ (hub256_wide e2e_wall_s).\n"
     ));
     out
 }
 
-/// Runs the measured benchmark. Returns the human table and the
-/// `BENCH_X24.json` artifact. `quick` uses a single timing rep instead
-/// of a median of three; structural fields are identical either way.
-pub fn measure(quick: bool) -> (String, Json) {
-    let reps = if quick { 1 } else { 3 };
-
-    // Structural facts over the full sweep.
+/// The `BENCH_X24.json` artifact: the sweep's structural facts.
+pub fn measure() -> Json {
     let mut crossings_by_m = Vec::new();
     let mut o1_bytes_by_m = Vec::new();
     let mut converge_us_by_m = Vec::new();
@@ -257,33 +252,7 @@ pub fn measure(quick: bool) -> (String, Json) {
     let o1_flat = o1_bytes_by_m.iter().all(|&b| b == 9);
     let (clocked_m4, clocked_m64) = (clocked_bytes_per_frame(4), clocked_bytes_per_frame(64));
 
-    // Wall-clock arms: the full sweep (both arms) and the largest
-    // steady cell alone (the m=256 world the sharded engine makes
-    // affordable).
-    let sweep = bench("x24/sweep", 1, reps, || {
-        for (idx, &m) in M_VALUES.iter().enumerate() {
-            run_steady(m, idx);
-            run_churn(m, idx);
-        }
-    });
-    let largest = bench("x24/largest", 1, reps, || {
-        run_steady(M_VALUES[M_VALUES.len() - 1], M_VALUES.len() - 1);
-    });
-    let (sweep_ms, largest_ms) = (sweep.median_ns() / 1e6, largest.median_ns() / 1e6);
-
-    let mut t = Table::new("wall time (median)", &["arm", "cells", "time"]);
-    t.row(&[
-        "steady + churn sweep".into(),
-        (2 * M_VALUES.len()).to_string(),
-        format!("{sweep_ms:.2} ms"),
-    ]);
-    t.row(&[
-        "largest cell (m=256)".into(),
-        "1".into(),
-        format!("{largest_ms:.2} ms"),
-    ]);
-
-    let artifact = Json::obj([
+    Json::obj([
         ("experiment", Json::Str("X24 large-m scale-out".into())),
         (
             "structural",
@@ -316,41 +285,8 @@ pub fn measure(quick: bool) -> (String, Json) {
                 ("churn_events_applied", (churn_events > 0).to_json()),
             ]),
         ),
-        (
-            "timing",
-            Json::obj([
-                ("sweep_ms", sweep_ms.to_json()),
-                ("largest_ms", largest_ms.to_json()),
-            ]),
-        ),
-    ]);
-    (t.to_string(), artifact)
+    ])
 }
-
-/// X24's share of the baseline gate.
-pub const GATE: Gate = Gate {
-    baseline: "BENCH_X24.json",
-    section: None,
-    structural: &[
-        "m_values",
-        "fanout",
-        "crossings_by_m",
-        "crossings_closed_form_exact",
-        "o1_bytes_per_frame_by_m",
-        "o1_overhead_flat",
-        "steady_all_o1",
-        "clocked_bytes_per_frame_m4",
-        "clocked_bytes_per_frame_m64",
-        "converge_us_by_m",
-        "monitored_churn_causal",
-        "meta_violations_zero",
-        "churn_fallback_used",
-        "churn_events_applied",
-    ],
-    timing: &["sweep_ms", "largest_ms"],
-    measure: |quick, _| measure(quick),
-    extra: None,
-};
 
 #[cfg(test)]
 mod tests {

@@ -40,6 +40,9 @@ fn flags_that_do_not_apply_are_errors() {
     let err = rejected(&["x1", "--json", "unwritten.json"]);
     assert!(err.contains("x1 has no JSON artifact"), "{err}");
     assert!(rejected(&["x1", "--bogus"]).contains("unknown flag --bogus"));
+    assert!(rejected(&["x19", "--quick"]).contains("unknown flag --quick"));
+    let err = rejected(&["x19", "--jobs", "2"]);
+    assert!(err.contains("--jobs applies to all, not to x19"), "{err}");
     assert!(rejected(&["x1", "x2"]).contains("unexpected argument x2"));
     assert!(rejected(&[]).contains("usage: exp"));
 }
@@ -50,7 +53,7 @@ fn value_flags_need_their_value() {
         let want = format!("{flag} requires an argument");
         assert!(rejected(&["x19", flag]).contains(&want), "{flag} last");
         assert!(
-            rejected(&["x19", flag, "--quick"]).contains(&want),
+            rejected(&["x19", flag, "--list"]).contains(&want),
             "{flag} followed by a flag"
         );
     }
@@ -83,26 +86,20 @@ fn gated_lists_the_seven_baselines() {
     );
 }
 
-/// A gated experiment prints its deterministic report *and* the
-/// measured table, and `--json` writes the measured artifact. (No
-/// `--check` here: wall-clock gates run under `scripts/verify.sh`.)
+/// A gated experiment prints exactly its deterministic report, and
+/// `--json` writes its artifact: structural facts only, no timing.
+/// (No `--check` here: `scripts/verify.sh` gates every baseline.)
 #[test]
-fn a_gated_experiment_prints_report_and_measured_table() {
+fn a_gated_experiment_writes_a_structural_artifact() {
     let path = std::env::temp_dir().join(format!("exp_cli_x19_{}.json", std::process::id()));
-    let out = exp(&["x19", "--quick", "--json", path.to_str().unwrap()]);
+    let out = exp(&["x19", "--json", path.to_str().unwrap()]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    let (report, measured) = stdout
-        .split_once("scripts/verify.sh.\n")
-        .expect("the report's closing line");
-    assert!(report.contains("litmus zoo parity"), "{report}");
-    assert!(measured.contains("wall time per engine"), "{measured}");
-    assert!(measured.matches(" ms").count() >= 4, "{measured}");
+    assert!(stdout.ends_with("(checker.causal.check_s).\n"), "{stdout}");
 
     let artifact = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).unwrap();
-    for block in ["structural", "timing"] {
-        let fields = artifact.get(block).and_then(Json::as_object);
-        assert!(fields.is_some_and(|f| !f.is_empty()), "{block}");
-    }
+    let structural = artifact.get("structural").and_then(Json::as_object);
+    assert!(structural.is_some_and(|f| !f.is_empty()), "{artifact:?}");
+    assert!(artifact.get("timing").is_none(), "{artifact:?}");
 }

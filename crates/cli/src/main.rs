@@ -12,13 +12,14 @@
 //!             [--chaos-horizon <ms>] [--chaos-seed <n>]
 //!             [--chaos-partitions <n:min-max>] [--chaos-crashes <n:min-max>]
 //!             [--chaos-churn <n:min-max>] [--topology <shape:m[:fanout]>]
-//! cmi-cli experiments [<id> …]     # regenerate the paper's experiments
-//! cmi-cli list                     # list experiment ids
+//! cmi-cli experiments [<id>|<substring> …]  # regenerate the paper's experiments
+//! cmi-cli list                              # list experiment ids
 //! ```
 
 use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
+use cmi_bench::experiments::{Experiment, REGISTRY};
 use cmi_cli::{render_report, ChaosEntry, ChaosRateEntry, Scenario, TelemetryEntry, TopologyEntry};
 use cmi_core::{RunReport, TopologyShape};
 use cmi_obs::ToJson;
@@ -53,8 +54,8 @@ fn dispatch(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
         Some("run") => cmd_run(&args[1..], out),
         Some("experiments") => cmd_experiments(&args[1..], out),
         Some("list") => {
-            for (name, _) in cmi_bench::experiments::registry() {
-                writeln!(out, "{name}")?;
+            for exp in REGISTRY {
+                writeln!(out, "{}", exp.title)?;
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -86,7 +87,7 @@ fn print_usage(out: &mut impl Write) -> io::Result<()> {
          \u{20}          [--chaos-partitions <n:min-max>]\n\
          \u{20}          [--chaos-crashes <n:min-max>] [--chaos-churn <n:min-max>]\n\
          \u{20}          [--topology <shape:m[:fanout]>]\n\
-         \u{20}  cmi-cli experiments [<substring> …]\n\
+         \u{20}  cmi-cli experiments [<id>|<substring> …]\n\
          \u{20}  cmi-cli list\n\n\
          A scenario file describes systems, tree links, a workload and the\n\
          consistency checks to run; see crates/cli/scenarios/ for examples.\n\
@@ -575,15 +576,33 @@ fn cmd_run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     Ok(strict_exit(&flags, &[&output]))
 }
 
+/// Whether `filter` selects `exp`: an id (`x1`) selects that experiment
+/// alone, anything else every title containing it, case-insensitively.
+fn selects(filter: &str, exp: &Experiment) -> bool {
+    let filter = filter.to_lowercase();
+    if REGISTRY.iter().any(|e| e.id == filter) {
+        exp.id == filter
+    } else {
+        exp.title.to_lowercase().contains(&filter)
+    }
+}
+
 fn cmd_experiments(filters: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
-    for (name, runner) in cmi_bench::experiments::registry() {
-        if filters.is_empty()
-            || filters
-                .iter()
-                .any(|f| name.to_lowercase().contains(&f.to_lowercase()))
-        {
-            writeln!(out, "\n######## {name} ########")?;
-            write!(out, "{}", runner())?;
+    if let Some(unmatched) = filters
+        .iter()
+        .find(|f| !REGISTRY.iter().any(|exp| selects(f, exp)))
+    {
+        let ids: Vec<_> = REGISTRY.iter().map(|exp| exp.id).collect();
+        eprintln!(
+            "no experiment matches {unmatched:?}; valid ids: {}",
+            ids.join(" ")
+        );
+        return Ok(ExitCode::FAILURE);
+    }
+    for exp in REGISTRY {
+        if filters.is_empty() || filters.iter().any(|f| selects(f, exp)) {
+            writeln!(out, "\n######## {} ########", exp.title)?;
+            write!(out, "{}", (exp.run)())?;
         }
     }
     Ok(ExitCode::SUCCESS)

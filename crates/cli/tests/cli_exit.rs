@@ -192,6 +192,30 @@ fn flag_only_telemetry_needs_no_scenario_block() {
     assert!(text.contains("\"every_ns\":2000000"), "cadence: {text}");
 }
 
+#[test]
+fn experiments_filter_selects_an_id_exactly_and_refuses_a_miss() {
+    // `x1` names X1 alone, not X10–X19, whose titles contain "x1" too.
+    let out = run_cli(&["experiments", "x1"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let banners: Vec<_> = stdout
+        .lines()
+        .filter(|l| l.starts_with("########"))
+        .collect();
+    assert_eq!(banners, ["######## X1 protocol trace (Figs. 1-3) ########"]);
+
+    // A filter that matches nothing is an error, not an empty success.
+    let out = run_cli(&["experiments", "x1", "no-such-experiment"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "nothing runs before the error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("\"no-such-experiment\"") && stderr.contains("valid ids: x1 x2 x3"),
+        "{stderr}"
+    );
+}
+
 /// Wide enough that a batch of runs prints several pipe buffers of
 /// text: 33 verdict lines under each of four checks.
 const WIDE: &str = r#"{

@@ -1,11 +1,11 @@
 //! # cmi-obs — zero-dependency observability layer
 //!
 //! The measurement substrate of the workspace: every structured artifact a
-//! run produces — metrics, traces, reports, bench results — flows through
+//! run produces — metrics, traces, reports, baselines — flows through
 //! this crate. It deliberately depends on nothing (not even other `cmi-*`
 //! crates) so the whole workspace builds offline with an empty registry.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! - [`json`]: a small JSON value model ([`Json`]), the [`ToJson`] trait,
 //!   compact and pretty writers with a correct escaper, and a
@@ -18,8 +18,6 @@
 //!   histograms per direction/hop, and Chrome-trace / Graphviz exports.
 //! - [`ring`]: a bounded [`RingBuffer`] that counts what it drops —
 //!   the backing store for in-memory trace sinks.
-//! - [`timing`]: a tiny wall-clock bench harness (warmup + N iterations,
-//!   median/min) replacing criterion for the workspace benches.
 //! - [`timeseries`]: flight-recorder telemetry — in-run sampling of the
 //!   metric registry at a virtual-time cadence into a delta-encoded
 //!   bounded ring ([`TimeSeries`]), declarative health watchdogs, and
@@ -30,7 +28,6 @@ pub mod lineage;
 pub mod metrics;
 pub mod ring;
 pub mod timeseries;
-pub mod timing;
 
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use lineage::{LineageEvent, LineageRecorder, Stage, UpdateId};
@@ -39,4 +36,3 @@ pub use ring::RingBuffer;
 pub use timeseries::{
     SpanId, SpanStats, TelemetryConfig, TimeSeries, WatchAlert, WatchKind, WatchdogSpec,
 };
-pub use timing::{bench, BenchResult, BenchSuite};

@@ -13,7 +13,7 @@ use crate::json::{Json, ToJson};
 
 /// Default histogram bucket upper bounds, in nanoseconds: a 1-2-5 ladder
 /// from 1 µs to 1000 s. Wide enough for every virtual-time latency the
-/// simulator produces and for wall-clock bench timings.
+/// simulator produces and for wall-clock check latencies.
 const DEFAULT_BOUNDS: [f64; 28] = [
     1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9,
     2e9, 5e9, 1e10, 2e10, 5e10, 1e11, 2e11, 5e11, 1e12,

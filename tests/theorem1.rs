@@ -169,6 +169,22 @@ fn variant2_pre_propagate_is_also_causal() {
     }
 }
 
+/// The known counterexample, shrunk by hand from
+/// `benchmark/known_bad/churn_loss.json`: a lossy A–B–C chain, two
+/// processes a system, two variables, 180 operations and one
+/// detach/attach. Every α^k stays causal, yet α^T ends with a stale
+/// read: the attach resync sends a replica's snapshot as fresh writes,
+/// and one of them carries a value the reader had seen overwritten.
+#[test]
+#[ignore = "ROADMAP item 1: attach resync re-injects a causally overwritten value"]
+fn attach_resync_keeps_the_union_causal() {
+    let text = include_str!("data/churn_resync.json");
+    let scenario = cmi_cli::Scenario::from_json(text).expect("scenario parses");
+    scenario.validate().expect("scenario validates");
+    let report = scenario.run().expect("scenario builds");
+    assert_all_causal(&report, "churn_resync");
+}
+
 #[test]
 fn witnesses_from_the_checker_validate() {
     let report = pair(ProtocolKind::Ahamad, ProtocolKind::Frontier, 42);
