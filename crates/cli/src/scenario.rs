@@ -1065,6 +1065,14 @@ impl Scenario {
     /// Returns [`ScenarioError::Invalid`] describing the first
     /// offending field.
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        // Variables are numbered by a `u32`.
+        if self.vars == 0 || u32::try_from(self.vars).is_err() {
+            return Err(ScenarioError::Invalid(format!(
+                "vars must be in 1..={}, got {}",
+                u32::MAX,
+                self.vars
+            )));
+        }
         if let Some(t) = &self.topology_spec {
             if !self.systems.is_empty() || !self.links.is_empty() {
                 return Err(ScenarioError::Invalid(

@@ -260,3 +260,60 @@ fn closed_stdout_pipe_is_a_quiet_exit_0() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Numbers past the id spaces: variables are numbered by a `u32`, a
+/// system's processes (application plus IS slots) by a `u16`. Each is a
+/// one-line error naming the field and its limit, never a panic or an
+/// allocation abort.
+#[test]
+fn numbers_outside_the_id_spaces_exit_1_with_one_line() {
+    let systems = |processes: &str| {
+        format!(
+            r#""systems": [
+                {{ "name": "A", "protocol": "ahamad", "processes": {processes} }},
+                {{ "name": "B", "protocol": "ahamad", "processes": 2 }}
+              ],
+              "links": [ {{ "a": 0, "b": 1, "delay_ms": 3 }} ]"#
+        )
+    };
+    let spec = |processes: &str| {
+        format!(r#""topology_spec": {{ "shape": "star", "systems": 3, "processes": {processes} }}"#)
+    };
+    let vars_limit = "vars must be in 1..=4294967295";
+    let cases = [
+        ("vars0", "0", systems("2"), vars_limit),
+        ("vars-wide", "4294967296", systems("2"), vars_limit),
+        (
+            "procs",
+            "2",
+            systems("65536"),
+            "processes (65536) plus IS slots (1)",
+        ),
+        (
+            "procs-2^53",
+            "2",
+            systems("9007199254740993"),
+            "at most 65536",
+        ),
+        (
+            "spec-procs",
+            "2",
+            spec("65536"),
+            "processes (65536) plus IS slots",
+        ),
+        ("spec-2^53", "2", spec("9007199254740993"), "at most 65536"),
+    ];
+    for (name, vars, body, needle) in cases {
+        let text = format!(
+            r#"{{ "seed": 1, "vars": {vars}, {body},
+                "workload": {{ "ops_per_proc": 2, "write_fraction": 0.5, "mean_gap_ms": 2 }} }}"#
+        );
+        let path = write_scenario(&format!("{name}.json"), &text);
+        let out = run_cli(&["run", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+    }
+}

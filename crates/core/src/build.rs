@@ -39,7 +39,7 @@ use crate::actor::{AddressBook, WorldActor, CRASH_TIMER, POKE_TIMER, RECOVER_TIM
 use crate::isp::{IsProcess, IsVariant, LinkEnd};
 use crate::msg::WorldMsg;
 use crate::report::{FirstApplied, LinkTraffic, RunReport};
-use crate::spec::{BuildError, IsTopology, LinkSpec, SystemHandle, SystemSpec};
+use crate::spec::{BuildError, IsTopology, LinkSpec, SystemHandle, SystemSpec, MAX_SYSTEM_PROCS};
 
 /// A system as realized in a built world.
 #[derive(Debug, Clone)]
@@ -102,6 +102,12 @@ impl Layout {
     pub(crate) fn n_isps(&self) -> usize {
         self.isp_slots.iter().sum()
     }
+}
+
+/// Process `k`'s index within its system; [`InterconnectBuilder::layout`]
+/// has bounded every system's process count by [`MAX_SYSTEM_PROCS`].
+fn proc_index(k: usize) -> u16 {
+    u16::try_from(k).expect("layout bounds a system's processes")
 }
 
 /// Builder for an interconnected world of causal DSM systems.
@@ -315,6 +321,15 @@ impl InterconnectBuilder {
                 IsTopology::Shared => usize::from(!incident[s].is_empty()),
             })
             .collect();
+        for (s, spec) in self.systems.iter().enumerate() {
+            if spec.n_app_procs.saturating_add(isp_slots[s]) > MAX_SYSTEM_PROCS {
+                return Err(BuildError::TooManyProcesses {
+                    system: s,
+                    processes: spec.n_app_procs,
+                    is_slots: isp_slots[s],
+                });
+            }
+        }
 
         // Dense global bases in system-major order.
         let mut actor_base = Vec::with_capacity(n_sys);
@@ -419,7 +434,7 @@ impl InterconnectBuilder {
             let class = *class_of_component
                 .entry(layout.component[s])
                 .or_insert(next_class);
-            let procs: Vec<ProcId> = (0..total).map(|k| ProcId::new(id, k as u16)).collect();
+            let procs: Vec<ProcId> = (0..total).map(|k| ProcId::new(id, proc_index(k))).collect();
             for (k, p) in procs.iter().enumerate() {
                 addr.insert(*p, cmi_sim::ActorId(next_actor));
                 global_ids.push(layout.actor_base[s] + k as u32);
@@ -461,7 +476,7 @@ impl InterconnectBuilder {
                 .iter()
                 .flat_map(|&s| {
                     let id = SystemId(u16::try_from(s).expect("system index fits u16"));
-                    (0..self.systems[s].n_app_procs).map(move |k| ProcId::new(id, k as u16))
+                    (0..self.systems[s].n_app_procs).map(move |k| ProcId::new(id, proc_index(k)))
                 })
                 .collect();
             let mon = Rc::new(RefCell::new(OnlineMonitor::new(MonitorConfig::bounded(
@@ -486,7 +501,7 @@ impl InterconnectBuilder {
                 IsVariant::PostOnly
             };
             for k in 0..total {
-                let host = NodeHost::new(spec.make_protocol(id, k as u16, total, self.n_vars));
+                let host = NodeHost::new(spec.make_protocol(id, proc_index(k), total, self.n_vars));
                 let isp = if k >= spec.n_app_procs {
                     // Which links does this IS slot serve?
                     let serving: Vec<usize> = match self.topology {
@@ -1414,6 +1429,20 @@ mod tests {
             b.build(0).err(),
             Some(BuildError::DuplicateLink { systems: (0, 1) })
         );
+    }
+
+    #[test]
+    fn processes_past_the_u16_id_space_fail() {
+        // 65 535 application processes plus one IS slot fill the id
+        // space exactly; one more process does not fit.
+        for (n, fits) in [(MAX_SYSTEM_PROCS - 1, true), (MAX_SYSTEM_PROCS, false)] {
+            let mut b = InterconnectBuilder::new();
+            let a = b.add_system(spec("A", n));
+            let c = b.add_system(spec("B", 2));
+            b.link(a, c, LinkSpec::new(Duration::from_millis(1)));
+            let err = b.layout().err();
+            assert_eq!(err.is_none(), fits, "{n}: {err:?}");
+        }
     }
 
     #[test]

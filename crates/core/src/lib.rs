@@ -66,6 +66,8 @@ pub use isp::{IsFault, IsVariant};
 pub use msg::{FrameMeta, WorldMsg};
 pub use report::{LinkTraffic, RunReport};
 pub use shard::ShardedWorld;
-pub use spec::{BuildError, IsTopology, LinkSpec, ProtocolFactory, SystemHandle, SystemSpec};
+pub use spec::{
+    BuildError, IsTopology, LinkSpec, ProtocolFactory, SystemHandle, SystemSpec, MAX_SYSTEM_PROCS,
+};
 pub use topology::{parse_topology, TopologyShape, TopologySpec};
 pub use transport::{ReliableConfig, ReliableReceiver, ReliableSender};

@@ -265,7 +265,21 @@ pub enum BuildError {
         /// The linked pair.
         systems: (usize, usize),
     },
+    /// A system's application processes plus its IS slots outnumber the
+    /// [`MAX_SYSTEM_PROCS`] ids a `ProcId` can give within one system.
+    TooManyProcesses {
+        /// Offending system index.
+        system: usize,
+        /// Its application processes.
+        processes: usize,
+        /// Its IS-process slots (one per incident link, or one shared).
+        is_slots: usize,
+    },
 }
+
+/// Processes one system can hold: a `ProcId`'s index within its system
+/// is a `u16`.
+pub const MAX_SYSTEM_PROCS: usize = 1 << 16;
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -282,6 +296,15 @@ impl fmt::Display for BuildError {
             BuildError::DuplicateLink { systems: (a, b) } => {
                 write!(f, "systems #{a} and #{b} linked twice")
             }
+            BuildError::TooManyProcesses {
+                system,
+                processes,
+                is_slots,
+            } => write!(
+                f,
+                "system #{system}: processes ({processes}) plus IS slots ({is_slots}) \
+                 must be at most {MAX_SYSTEM_PROCS}"
+            ),
         }
     }
 }
