@@ -1,11 +1,16 @@
 //! Source audit of the monitor's per-op path — the same landmine
-//! discipline PR-4 applied to the simulator's dispatch path, pointed at
+//! discipline the simulator's dispatch path follows, pointed at
 //! `online.rs`: the region between `AUDIT:HOT-BEGIN` and
 //! `AUDIT:HOT-END` runs once per observed op, so no allocation-heavy
 //! formatting and no string-keyed metric lookups may land there.
 //! Metric ids must be interned once (`MonitorIds`) and used through the
 //! `*_id` fast calls; anything that formats belongs in the `#[cold]`
 //! violation path below the end marker.
+//!
+//! Clocks live in flat tables and are joined row to row, so the region
+//! also never copies one into a fresh vector (`.clone()`, `.to_vec()`,
+//! `.collect`); the rare growth paths (a new chain, a new variable, a
+//! new watcher) are `#[cold]` fns below the end marker.
 
 use std::path::Path;
 
@@ -66,6 +71,15 @@ fn per_op_monitor_path_never_formats_or_resolves_metric_names() {
 }
 
 #[test]
+fn per_op_monitor_path_never_copies_a_clock_into_a_fresh_vector() {
+    let (region, base) = hot_region();
+    let why = "clocks are rows of flat tables: join or copy into a row";
+    assert_absent(&region, base, ".clone()", why);
+    assert_absent(&region, base, ".to_vec()", why);
+    assert_absent(&region, base, ".collect", why);
+}
+
+#[test]
 fn hot_region_covers_the_observe_entry_point() {
     let (region, _) = hot_region();
     for must_have in [
@@ -73,10 +87,34 @@ fn hot_region_covers_the_observe_entry_point() {
         "fn insert_write",
         "fn insert_read",
         "fn apply_rule",
+        "fn propagate",
+        "fn add_edge_all",
     ] {
         assert!(
             region.contains(must_have),
             "`{must_have}` moved outside the audited hot region — move the marker with it"
+        );
+    }
+}
+
+#[test]
+fn growth_paths_sit_below_the_hot_region_as_cold_fns() {
+    let src_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/online.rs");
+    let src = std::fs::read_to_string(&src_path).expect("read online.rs");
+    let end = src.rfind("AUDIT:HOT-END").expect("AUDIT:HOT-END marker");
+    for name in [
+        "fn new_chain",
+        "fn restride",
+        "fn new_var",
+        "fn create_watcher",
+    ] {
+        let at = src
+            .find(name)
+            .unwrap_or_else(|| panic!("online.rs lost `{name}`"));
+        assert!(at > end, "`{name}` belongs below AUDIT:HOT-END");
+        assert!(
+            src[..at].trim_end().ends_with("#[cold]"),
+            "`{name}` must be #[cold]"
         );
     }
 }
