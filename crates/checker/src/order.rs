@@ -217,8 +217,16 @@ pub(crate) fn join_rows(table: &mut [u32], np: usize, src: usize, dst: usize) ->
         let (lo, hi) = table.split_at_mut(src * np);
         (&hi[..np], &mut lo[dst * np..][..np])
     };
+    join_lanes(into, from)
+}
+
+/// `dst ⊔= src` lane by lane over two disjoint clocks; `true` if some
+/// lane of `dst` rose. The one join loop of the crate: [`join_rows`]
+/// hands it two rows of one table.
+#[inline]
+pub(crate) fn join_lanes(dst: &mut [u32], src: &[u32]) -> bool {
     let mut grew = false;
-    for (d, &s) in into.iter_mut().zip(from) {
+    for (d, &s) in dst.iter_mut().zip(src) {
         grew |= *d < s;
         *d = (*d).max(s);
     }
