@@ -8,7 +8,10 @@
 //! checks at full size, made visible in `cargo test`. The scenarios are
 //! reduced-size versions of the four benchmark shapes (wide hub, deep
 //! pair, lossy monitored tree, disconnected islands on the serial and
-//! the sharded engine) plus every file under `crates/cli/scenarios/`.
+//! the sharded engine), every file under `crates/cli/scenarios/`, and a
+//! table of link shapes no benchmark runs (raw links under membership
+//! churn and crashes, batching, lossy lineage, a mixed shared hub),
+//! each of which also proves through a counter that its actor arm fired.
 //!
 //! The path is the CLI's and the benchmark harness's: scenario text →
 //! `Scenario::from_json` → `validate` → build + run (`Scenario::run` /
@@ -80,6 +83,8 @@ struct Artifacts {
     json: String,
     /// The terminal text.
     rendered: String,
+    /// The run's counters, for rows that assert which arm fired.
+    report: cmi::core::RunReport,
 }
 
 /// Runs `text` on the serial engine or on the sharded one with `shards`
@@ -104,6 +109,7 @@ fn artifacts(text: &str, shards: Option<usize>) -> Artifacts {
     Artifacts {
         json: artifact.to_pretty() + "\n",
         rendered,
+        report,
     }
 }
 
@@ -262,6 +268,157 @@ const GOLDEN_CLI_SCENARIOS_RENDERED: &[(&str, u64)] = &[
     ("telemetry.json", 0x0c864bc036449a8c),
 ];
 
+/// Link shapes the benchmark workloads never run: every one of them
+/// drives actor arms of the IS node that only these rows and
+/// `experiments_output.txt` pin. Each entry is `(name, scenario, the
+/// counters that must be positive — proof that the arm fired)`.
+const ARM_SHAPES: &[(&str, &str, &[&str])] = &[
+    (
+        // Raw links (one plain, one batched) under a detach/attach of
+        // the middle system: the `Link` and `LinkBatch` stale arms and
+        // the raw attach resync.
+        "raw_membership",
+        r#"{
+  "seed": 11,
+  "vars": 3,
+  "systems": [
+    { "name": "A", "protocol": "ahamad", "processes": 2 },
+    { "name": "B", "protocol": "frontier", "processes": 2 },
+    { "name": "C", "protocol": "ahamad", "processes": 2 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 6 },
+    { "a": 1, "b": 2, "delay_ms": 6, "batch_ms": 4 }
+  ],
+  "workload": { "ops_per_proc": 30, "write_fraction": 0.6, "mean_gap_ms": 2 },
+  "checks": ["causal"],
+  "membership": {
+    "events": [
+      { "at_ms": 20, "op": "detach", "system": 1 },
+      { "at_ms": 45, "op": "attach", "system": 1 }
+    ]
+  }
+}"#,
+        &["isp.stale_epoch_rejected", "isp.resync_pairs"],
+    ),
+    (
+        // A raw link whose b end crashes: the raw resync branch and the
+        // crashed receiver's drops.
+        "raw_crash",
+        r#"{
+  "seed": 12,
+  "vars": 3,
+  "systems": [
+    { "name": "A", "protocol": "ahamad", "processes": 2 },
+    { "name": "B", "protocol": "ahamad", "processes": 2 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 5,
+      "crash": { "side": "b", "windows": [ { "down_ms": 15, "up_ms": 40 } ] } }
+  ],
+  "workload": { "ops_per_proc": 30, "write_fraction": 0.6, "mean_gap_ms": 2 },
+  "checks": ["causal"]
+}"#,
+        &[
+            "isp.crashes",
+            "isp.resync_pairs",
+            "isp.recv_dropped_crashed",
+        ],
+    ),
+    (
+        // Batching on a reliable link whose a end crashes: batches into
+        // frames, the degraded backlog, the reliable resync.
+        "batch_reliable_crash",
+        r#"{
+  "seed": 13,
+  "vars": 3,
+  "systems": [
+    { "name": "A", "protocol": "ahamad", "processes": 2 },
+    { "name": "B", "protocol": "frontier", "processes": 2 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 5, "batch_ms": 4,
+      "reliable": { "rto_ms": 20, "degraded_after_ms": 10 },
+      "crash": { "side": "a", "windows": [ { "down_ms": 15, "up_ms": 45 } ] } }
+  ],
+  "workload": { "ops_per_proc": 30, "write_fraction": 0.6, "mean_gap_ms": 2 },
+  "checks": ["causal"]
+}"#,
+        &[
+            "isp.resync_pairs",
+            "isp.recv_dropped_crashed",
+            "isp.degraded_coalesced",
+            "isp.degraded_flushes",
+        ],
+    ),
+    (
+        // A dropping, duplicating, corrupting reliable link with lineage
+        // on: dedup and retransmit lineage records, damaged frames.
+        "lossy_lineage",
+        r#"{
+  "seed": 14,
+  "vars": 3,
+  "lineage": true,
+  "systems": [
+    { "name": "A", "protocol": "ahamad", "processes": 2 },
+    { "name": "B", "protocol": "frontier", "processes": 2 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 4,
+      "faults": { "drop": 0.2, "duplicate": 0.2, "corrupt": 0.2 },
+      "reliable": { "rto_ms": 15, "degraded_after_ms": 20 } }
+  ],
+  "workload": { "ops_per_proc": 30, "write_fraction": 0.6, "mean_gap_ms": 2 },
+  "checks": ["causal"]
+}"#,
+        &[
+            "isp.dedup_drops",
+            "isp.corrupt_rejected",
+            "isp.retransmits",
+            "isp.degraded_coalesced",
+        ],
+    ),
+    (
+        // One shared IS node serving a raw and a reliable link.
+        "shared_mixed",
+        r#"{
+  "seed": 15,
+  "vars": 3,
+  "topology": "shared",
+  "systems": [
+    { "name": "hub", "protocol": "ahamad", "processes": 2 },
+    { "name": "raw", "protocol": "frontier", "processes": 2 },
+    { "name": "rel", "protocol": "ahamad", "processes": 2 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 5 },
+    { "a": 0, "b": 2, "delay_ms": 5, "reliable": { "rto_ms": 30 } }
+  ],
+  "workload": { "ops_per_proc": 20, "write_fraction": 0.6, "mean_gap_ms": 3 },
+  "checks": ["causal"]
+}"#,
+        &["isp.acks", "isp.link_pairs_sent", "isp.propagate_in"],
+    ),
+];
+
+/// Digests of [`ARM_SHAPES`].
+const GOLDEN_ARM_SHAPES: &[(&str, u64)] = &[
+    ("raw_membership", 0x5e6f83b22f8d6b29),
+    ("raw_crash", 0x690a910b8e7f0746),
+    ("batch_reliable_crash", 0xf44da86c73faeab5),
+    ("lossy_lineage", 0x6e6fdf922278fc3d),
+    ("shared_mixed", 0x12527d25caa6ebbd),
+];
+
+/// Rendered-text digests of [`ARM_SHAPES`].
+const GOLDEN_ARM_SHAPES_RENDERED: &[(&str, u64)] = &[
+    ("raw_membership", 0x9dbe1fde8133464a),
+    ("raw_crash", 0x6577ebe4c86cbb2c),
+    ("batch_reliable_crash", 0x1f30ac98d88ca5dc),
+    ("lossy_lineage", 0x5a70551770a9e169),
+    ("shared_mixed", 0xfe82a222f933d544),
+];
+
 /// `(name, digest)` rows, as `assert_golden` compares them.
 type Rows = Vec<(String, u64)>;
 
@@ -322,6 +479,30 @@ fn committed_cli_scenarios_keep_their_report_bytes() {
     assert_golden(
         "GOLDEN_CLI_SCENARIOS_RENDERED",
         GOLDEN_CLI_SCENARIOS_RENDERED,
+        &rendered,
+    );
+}
+
+#[test]
+fn actor_arm_shapes_keep_their_report_bytes() {
+    let runs: Vec<(&str, Artifacts)> = ARM_SHAPES
+        .iter()
+        .map(|&(name, text, proofs)| {
+            let run = artifacts(text, None);
+            for &counter in proofs {
+                assert!(
+                    run.report.metrics().counter(counter) > 0,
+                    "{name}: {counter} is 0, the arm it proves never fired"
+                );
+            }
+            (name, run)
+        })
+        .collect();
+    let (json, rendered) = digests(&runs);
+    assert_golden("GOLDEN_ARM_SHAPES", GOLDEN_ARM_SHAPES, &json);
+    assert_golden(
+        "GOLDEN_ARM_SHAPES_RENDERED",
+        GOLDEN_ARM_SHAPES_RENDERED,
         &rendered,
     );
 }
