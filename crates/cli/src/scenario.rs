@@ -27,6 +27,11 @@
 //!   "workload": { "ops_per_proc": 4 }
 //! }
 //! ```
+//!
+//! [`Scenario::validate`] rejects, one line naming the field, every
+//! number the simulator cannot represent: a `*_ms` field above 2^32 ms
+//! (and a workload whose `ops_per_proc × mean_gap_ms` exceeds that), a
+//! zero dial-up period or up window, a probability outside [0, 1].
 
 use std::fmt;
 use std::time::Duration;
@@ -318,6 +323,16 @@ pub struct Scenario {
     /// health watchdogs (default none).
     pub telemetry: Option<TelemetryEntry>,
 }
+
+/// Largest value any `*_ms` field may take: 2^32 ms, about 50 days.
+/// Virtual time is a `u64` of nanoseconds, about 4295 × 2^32 ms, so
+/// every instant the engine forms from a bounded number of these fields
+/// stays far from overflow: a link delay plus its jitter and reorder
+/// window, a dial-up period, a retransmission timeout backed off 64×
+/// plus 10 % jitter (about 70 limits), a chaos window's start plus its
+/// length. The workload's own horizon, `ops_per_proc × mean_gap_ms`,
+/// is held to the same limit.
+const MAX_MS: u64 = 1 << 32;
 
 // ---- decoding helpers over the in-tree JSON model ----------------------
 
@@ -1144,6 +1159,15 @@ impl Scenario {
                     )));
                 }
             }
+            if let Some(d) = &l.dialup {
+                for (field, ms) in [("period_ms", d.period_ms), ("up_ms", d.up_ms)] {
+                    if ms == 0 {
+                        return Err(ScenarioError::Invalid(format!(
+                            "links[{i}].dialup.{field} must be positive, got 0"
+                        )));
+                    }
+                }
+            }
             if let Some(c) = &l.crash {
                 if c.side != "a" && c.side != "b" {
                     return Err(ScenarioError::Invalid(format!(
@@ -1265,6 +1289,25 @@ impl Scenario {
                 attached[e.system] = !want_attached;
             }
         }
+        let p = self.workload.write_fraction;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(ScenarioError::Invalid(format!(
+                "workload.write_fraction must be a probability in [0, 1], got {p}"
+            )));
+        }
+        if let Some((field, ms)) = self.ms_fields().into_iter().find(|&(_, ms)| ms > MAX_MS) {
+            return Err(ScenarioError::Invalid(format!(
+                "{field} must be at most {MAX_MS} ms, got {ms}"
+            )));
+        }
+        let horizon =
+            u64::from(self.workload.ops_per_proc).saturating_mul(self.workload.mean_gap_ms);
+        if horizon > MAX_MS {
+            return Err(ScenarioError::Invalid(format!(
+                "workload.ops_per_proc × workload.mean_gap_ms must be at most {MAX_MS} ms, \
+                 got {horizon}"
+            )));
+        }
         if let Some(t) = &self.telemetry {
             if t.every_ms == 0 {
                 return Err(ScenarioError::Invalid(
@@ -1288,6 +1331,77 @@ impl Scenario {
             }
         }
         Ok(())
+    }
+
+    /// Every `*_ms` field of the scenario, named by its path.
+    fn ms_fields(&self) -> Vec<(String, u64)> {
+        let mut fields = vec![(
+            "workload.mean_gap_ms".to_string(),
+            self.workload.mean_gap_ms,
+        )];
+        fn reliable(ctx: &str, r: &ReliableEntry, fields: &mut Vec<(String, u64)>) {
+            fields.push((format!("{ctx}.reliable.rto_ms"), r.rto_ms));
+            fields.push((
+                format!("{ctx}.reliable.degraded_after_ms"),
+                r.degraded_after_ms,
+            ));
+        }
+        if let Some(t) = &self.topology_spec {
+            fields.push(("topology_spec.delay_ms".into(), t.delay_ms));
+            if let Some(r) = &t.reliable {
+                reliable("topology_spec", r, &mut fields);
+            }
+        }
+        for (i, s) in self.systems.iter().enumerate() {
+            fields.push((format!("systems[{i}].intra_delay_ms"), s.intra_delay_ms));
+        }
+        for (i, l) in self.links.iter().enumerate() {
+            let ctx = format!("links[{i}]");
+            fields.push((format!("{ctx}.delay_ms"), l.delay_ms));
+            fields.push((format!("{ctx}.jitter_ms"), l.jitter_ms));
+            if let Some(d) = &l.dialup {
+                fields.push((format!("{ctx}.dialup.period_ms"), d.period_ms));
+                fields.push((format!("{ctx}.dialup.up_ms"), d.up_ms));
+            }
+            if let Some(ms) = l.batch_ms {
+                fields.push((format!("{ctx}.batch_ms"), ms));
+            }
+            if let Some(f) = &l.faults {
+                fields.push((
+                    format!("{ctx}.faults.reorder_window_ms"),
+                    f.reorder_window_ms,
+                ));
+            }
+            if let Some(r) = &l.reliable {
+                reliable(&ctx, r, &mut fields);
+            }
+            for (w, &(down, up)) in l.crash.iter().flat_map(|c| c.windows.iter()).enumerate() {
+                fields.push((format!("{ctx}.crash.windows[{w}].down_ms"), down));
+                fields.push((format!("{ctx}.crash.windows[{w}].up_ms"), up));
+            }
+        }
+        if let Some(c) = &self.chaos {
+            fields.push(("chaos.horizon_ms".into(), c.horizon_ms));
+            for (name, rate) in [
+                ("partitions", &c.partitions),
+                ("crashes", &c.crashes),
+                ("churn", &c.churn),
+            ] {
+                if let Some(r) = rate {
+                    fields.push((format!("chaos.{name}.min_ms"), r.min_ms));
+                    fields.push((format!("chaos.{name}.max_ms"), r.max_ms));
+                }
+            }
+        }
+        if let Some(m) = &self.membership {
+            for (i, e) in m.events.iter().enumerate() {
+                fields.push((format!("membership.events[{i}].at_ms"), e.at_ms));
+            }
+        }
+        if let Some(t) = &self.telemetry {
+            fields.push(("telemetry.every_ms".into(), t.every_ms));
+        }
+        fields
     }
 
     /// Number of systems after expanding any `topology_spec`.

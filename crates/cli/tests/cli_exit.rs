@@ -267,17 +267,55 @@ fn closed_stdout_pipe_is_a_quiet_exit_0() {
 /// allocation abort.
 #[test]
 fn numbers_outside_the_id_spaces_exit_1_with_one_line() {
+    const WORKLOAD: &str =
+        r#""workload": { "ops_per_proc": 2, "write_fraction": 0.5, "mean_gap_ms": 2 }"#;
+    // Two systems; `link` follows the link's `"a", "b"` members.
+    let two = |link: &str, workload: &str| {
+        format!(
+            r#""systems": [
+                {{ "name": "A", "protocol": "ahamad", "processes": 2 }},
+                {{ "name": "B", "protocol": "ahamad", "processes": 2 }}
+              ],
+              "links": [ {{ "a": 0, "b": 1{link} }} ],
+              {workload}"#
+        )
+    };
     let systems = |processes: &str| {
         format!(
             r#""systems": [
                 {{ "name": "A", "protocol": "ahamad", "processes": {processes} }},
                 {{ "name": "B", "protocol": "ahamad", "processes": 2 }}
               ],
-              "links": [ {{ "a": 0, "b": 1, "delay_ms": 3 }} ]"#
+              "links": [ {{ "a": 0, "b": 1, "delay_ms": 3 }} ],
+              {WORKLOAD}"#
         )
     };
     let spec = |processes: &str| {
-        format!(r#""topology_spec": {{ "shape": "star", "systems": 3, "processes": {processes} }}"#)
+        format!(
+            r#""topology_spec": {{ "shape": "star", "systems": 3, "processes": {processes} }},
+              {WORKLOAD}"#
+        )
+    };
+    // Two links into one shared IS-process whose crash windows overlap.
+    let shared_crashes = format!(
+        r#""topology": "shared",
+          "systems": [
+            {{ "name": "A", "protocol": "ahamad", "processes": 2 }},
+            {{ "name": "B", "protocol": "ahamad", "processes": 2 }},
+            {{ "name": "C", "protocol": "ahamad", "processes": 2 }}
+          ],
+          "links": [
+            {{ "a": 0, "b": 1, "delay_ms": 3,
+               "crash": {{ "side": "a", "windows": [ {{ "down_ms": 50, "up_ms": 150 }} ] }} }},
+            {{ "a": 0, "b": 2, "delay_ms": 3,
+               "crash": {{ "side": "a", "windows": [ {{ "down_ms": 100, "up_ms": 200 }} ] }} }}
+          ],
+          {WORKLOAD}"#
+    );
+    let gap = |ops: &str, gap: &str| {
+        format!(
+            r#""workload": {{ "ops_per_proc": {ops}, "write_fraction": 0.5, "mean_gap_ms": {gap} }}"#
+        )
     };
     let vars_limit = "vars must be in 1..=4294967295";
     let cases = [
@@ -302,12 +340,129 @@ fn numbers_outside_the_id_spaces_exit_1_with_one_line() {
             "processes (65536) plus IS slots",
         ),
         ("spec-2^53", "2", spec("9007199254740993"), "at most 65536"),
+        (
+            "shared-crash-overlap",
+            "2",
+            shared_crashes,
+            "system #0: IS-process crash windows 50ms..150ms and 100ms..200ms overlap",
+        ),
+        (
+            "dialup-period0",
+            "2",
+            two(r#", "dialup": { "period_ms": 0, "up_ms": 1 }"#, WORKLOAD),
+            "links[0].dialup.period_ms must be positive, got 0",
+        ),
+        (
+            "dialup-up0",
+            "2",
+            two(r#", "dialup": { "period_ms": 10, "up_ms": 0 }"#, WORKLOAD),
+            "links[0].dialup.up_ms must be positive, got 0",
+        ),
+        (
+            "write-fraction-2^32",
+            "2",
+            two(
+                "",
+                r#""workload": { "ops_per_proc": 2, "write_fraction": 4294967296 }"#,
+            ),
+            "workload.write_fraction must be a probability in [0, 1], got 4294967296",
+        ),
+        (
+            "delay-2^53",
+            "2",
+            two(r#", "delay_ms": 9007199254740993"#, WORKLOAD),
+            "links[0].delay_ms must be at most 4294967296 ms",
+        ),
+        (
+            "rto-2^53",
+            "2",
+            two(r#", "reliable": { "rto_ms": 9007199254740993 }"#, WORKLOAD),
+            "links[0].reliable.rto_ms must be at most 4294967296 ms",
+        ),
+        (
+            "dialup-2^53",
+            "2",
+            two(
+                r#", "dialup": { "period_ms": 9007199254740993, "up_ms": 1 }"#,
+                WORKLOAD,
+            ),
+            "links[0].dialup.period_ms must be at most 4294967296 ms",
+        ),
+        (
+            "crash-up-2^53",
+            "2",
+            two(
+                r#", "crash": { "windows": [ { "down_ms": 1, "up_ms": 9007199254740993 } ] }"#,
+                WORKLOAD,
+            ),
+            "links[0].crash.windows[0].up_ms must be at most 4294967296 ms",
+        ),
+        (
+            "mean-gap-2^53",
+            "2",
+            two("", &gap("2", "9007199254740993")),
+            "workload.mean_gap_ms must be at most 4294967296 ms",
+        ),
+        (
+            "workload-horizon",
+            "2",
+            two("", &gap("4294967295", "4294967296")),
+            "workload.ops_per_proc × workload.mean_gap_ms must be at most 4294967296 ms",
+        ),
+        (
+            "chaos-horizon-2^53",
+            "2",
+            two(
+                "",
+                &format!(r#"{WORKLOAD}, "chaos": {{ "horizon_ms": 9007199254740993 }}"#),
+            ),
+            "chaos.horizon_ms must be at most 4294967296 ms",
+        ),
+        (
+            "chaos-max-2^53",
+            "2",
+            two(
+                "",
+                &format!(
+                    r#"{WORKLOAD}, "chaos": {{ "horizon_ms": 10,
+                        "partitions": {{ "count": 1, "max_ms": 9007199254740993 }} }}"#
+                ),
+            ),
+            "chaos.partitions.max_ms must be at most 4294967296 ms",
+        ),
+        (
+            "membership-at-2^53",
+            "2",
+            two(
+                "",
+                &format!(
+                    r#"{WORKLOAD}, "membership": {{ "events": [
+                        {{ "at_ms": 9007199254740993, "op": "detach", "system": 1 }} ] }}"#
+                ),
+            ),
+            "membership.events[0].at_ms must be at most 4294967296 ms",
+        ),
+        (
+            "spec-delay-2^53",
+            "2",
+            format!(
+                r#""topology_spec": {{ "shape": "star", "systems": 3,
+                    "delay_ms": 9007199254740993 }}, {WORKLOAD}"#
+            ),
+            "topology_spec.delay_ms must be at most 4294967296 ms",
+        ),
+        (
+            "spec-rto-2^53",
+            "2",
+            format!(
+                r#""topology_spec": {{ "shape": "star", "systems": 3,
+                    "reliable": {{ "rto_ms": 9007199254740993 }} }}, {WORKLOAD}"#
+            ),
+            "topology_spec.reliable.rto_ms must be at most 4294967296 ms",
+        ),
     ];
     for (name, vars, body, needle) in cases {
-        let text = format!(
-            r#"{{ "seed": 1, "vars": {vars}, {body},
-                "workload": {{ "ops_per_proc": 2, "write_fraction": 0.5, "mean_gap_ms": 2 }} }}"#
-        );
+        let text = format!(r#"{{ "seed": 1, "vars": {vars}, {body} }}"#);
         let path = write_scenario(&format!("{name}.json"), &text);
         let out = run_cli(&["run", path.to_str().unwrap()]);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,17 +1,24 @@
 //! The simulator actor of an interconnected world: one MCS-process, its
 //! attached application or IS-process, and the plumbing between them.
+//!
+//! A [`WorldActor`] is the parts every node shares (the host, the
+//! address book, the metric ids) plus one role. An application node
+//! holds its workload driver. An IS node holds the paper's
+//! [`IsProcess`], its crash and resync state, and one `LinkState` per
+//! link it serves: that link's transport, membership epoch, causal
+//! metadata counters and X14 batch.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use cmi_memory::{Driver, HostSink, McsMsg, NoUpcalls, NodeHost, OpPlan};
+use cmi_memory::{Driver, HostSink, McsMsg, NoUpcalls, NodeHost, OpPlan, UpcallHandler};
 use cmi_obs::{LineageRecorder, MetricId, MetricsRegistry, SpanId};
 use cmi_sim::{Actor, ActorId, Ctx};
 use cmi_types::{ProcId, SimTime, Value, VarId};
 
-use crate::isp::{IsFault, IsProcess};
+use crate::isp::{IsFault, IsProcess, OutPair};
 use crate::msg::{FrameMeta, WorldMsg};
 use crate::transport::{OutFrame, ReliableConfig, ReliableReceiver, ReliableSender, TimeoutAction};
 
@@ -85,6 +92,55 @@ struct LinkTransport {
     tx: ReliableSender,
     rx: ReliableReceiver,
     deadline: Option<SimTime>,
+}
+
+/// Everything an IS node keeps for one of its links: the transport,
+/// membership, causal metadata and X14 batching state of that link.
+#[derive(Default)]
+pub(crate) struct LinkState {
+    /// Reliable transport (`None` = the paper's raw reliable-FIFO
+    /// channel).
+    reliable: Option<LinkTransport>,
+    /// `false` while either endpoint system is detached. An inactive
+    /// link neither sends nor accepts traffic.
+    active: bool,
+    /// Membership epoch, bumped on every detach *and* attach (both
+    /// endpoints bump together — membership changes are control-plane
+    /// events applied to both ends at the same virtual instant). Frames
+    /// and acks are stamped with it; in-flight traffic from a detached
+    /// epoch is rejected on arrival, never applied.
+    epoch: u64,
+    /// Cumulative pairs shipped (first transmissions only); the
+    /// [`FrameMeta::O1`] counter.
+    sent_pairs: u64,
+    /// Per-origin-system ship counts; the [`FrameMeta::Clocked`] vector.
+    clock: Vec<u64>,
+    /// Cumulative pairs delivered (receiver side).
+    delivered: u64,
+    /// High-water mark of the metadata counters observed; the delivery
+    /// condition checks `delivered ≤ high` on every delivery.
+    meta_high: u64,
+    /// Pairs waiting for the next X14 batch flush.
+    batch: Vec<(VarId, Value)>,
+}
+
+impl LinkState {
+    /// A link end over `reliable` (or raw), live or detached from the
+    /// start, in a world of `n_systems` systems. A link that starts
+    /// detached stays at epoch 0, which never carries a frame: the first
+    /// attach moves both ends to 1.
+    pub(crate) fn new(reliable: Option<ReliableConfig>, active: bool, n_systems: usize) -> Self {
+        LinkState {
+            reliable: reliable.map(|cfg| LinkTransport {
+                tx: ReliableSender::new(cfg),
+                rx: ReliableReceiver::new(),
+                deadline: None,
+            }),
+            active,
+            clock: vec![0; n_systems],
+            ..LinkState::default()
+        }
+    }
 }
 
 /// Bidirectional process ↔ actor address book, shared by every actor of
@@ -231,109 +287,142 @@ impl HostSink for WorldSink<'_, '_> {
     }
 }
 
-/// One node of an interconnected world.
+impl WorldSink<'_, '_> {
+    /// Hands `host` an MCS message from `from` and counts the updates
+    /// it buffered and applied.
+    fn deliver(
+        &mut self,
+        host: &mut NodeHost,
+        from: ActorId,
+        m: McsMsg,
+        upcalls: &mut dyn UpcallHandler,
+    ) {
+        let buffered_before = host.buffered();
+        let applied_before = host.updates().len();
+        host.on_mcs_message(self.addr.proc_of(from), m, self, upcalls);
+        let buffered_after = host.buffered();
+        if buffered_after > buffered_before {
+            let stalls = (buffered_after - buffered_before) as u64;
+            self.ctx
+                .metrics()
+                .add_id(self.ids.causal_wait_stalls, stalls);
+        }
+        let applied_after = host.updates().len();
+        if applied_after > applied_before {
+            let applied = (applied_after - applied_before) as u64;
+            self.ctx.metrics().add_id(self.ids.updates_applied, applied);
+        }
+    }
+}
+
+/// Rejects a timer token no handler owns.
+fn unknown_timer(token: u64) -> ! {
+    let (class, index) = timer_parts(token);
+    panic!("unknown timer token: class {class} index {index}")
+}
+
+/// One node of an interconnected world: the hosted MCS-process, the
+/// address book and metric ids every node shares, and the node's role.
 pub struct WorldActor {
     host: NodeHost,
+    addr: Rc<AddressBook>,
+    /// Pre-resolved metric ids (`None` until `on_start` interns them).
+    ids: Option<CoreMetricIds>,
+    role: Role,
+}
+
+/// What a node is attached to: an application process or an
+/// IS-process.
+enum Role {
+    App(AppNode),
+    Is(IsNode),
+}
+
+/// An application node: the workload driver and its progress.
+#[derive(Default)]
+struct AppNode {
     driver: Option<Driver>,
     /// The op fetched from the driver, waiting for its think-time timer.
     pending_plan: Option<OpPlan>,
     /// A blocking write call is outstanding; the driver resumes when the
     /// protocol completes it.
     waiting_completion: bool,
-    /// A reorder-fault flush timer is armed.
-    flush_scheduled: bool,
-    /// An X14 batch-flush timer is armed.
-    batch_scheduled: bool,
-    addr: Rc<AddressBook>,
-    isp: Option<IsProcess>,
-    /// Reliable transport per IS link (same order as `isp.links()`;
-    /// `None` = the paper's raw reliable-FIFO channel).
-    transports: Vec<Option<LinkTransport>>,
-    /// Scripted `(down_at, up_at)` crash windows for this IS-process.
-    crash_windows: Vec<(Duration, Duration)>,
-    /// The IS-process is currently down.
-    crashed: bool,
-    /// A restart happened; resync from the MCS replica as soon as no
-    /// operation is in flight.
-    resync_pending: bool,
-    /// Per-link membership: `false` while either endpoint system is
-    /// detached. Inactive links neither send nor accept traffic.
-    link_active: Vec<bool>,
-    /// Per-link membership epoch, bumped on every detach *and* attach
-    /// (both endpoints bump together — membership changes are
-    /// control-plane events applied to both ends at the same virtual
-    /// instant). Frames and acks are stamped with it; in-flight traffic
-    /// from a detached epoch is rejected on arrival, never applied.
-    link_epochs: Vec<u64>,
-    /// Shared-variable count, needed for the restart resync sweep.
-    n_vars: usize,
-    /// Pre-resolved metric ids (`None` until `on_start` interns them).
-    ids: Option<CoreMetricIds>,
     /// Operations already streamed to the run tap (watermark).
     ops_fed: usize,
+}
+
+/// The build-time settings of an IS node.
+pub(crate) struct IsSettings {
+    /// X14 batching: outgoing pairs accumulate per link and flush as one
+    /// message per window (in order — Lemma 1's send order is
+    /// preserved, only delayed). `None` = one message per pair.
+    pub(crate) batch_window: Option<Duration>,
+    /// Scripted `(down_at, up_at)` crash windows, ordered and disjoint.
+    pub(crate) crash_windows: Vec<(Duration, Duration)>,
+    /// Shared-variable count, swept by the restart/attach resync.
+    pub(crate) n_vars: usize,
+    /// Every frame ships [`FrameMeta::Clocked`] regardless of windows
+    /// (the differential-test reference path).
+    pub(crate) force_clocked: bool,
+}
+
+/// An IS node: the paper's IS-process, its crash and resync state, and
+/// one [`LinkState`] per link it serves (same order as `isp.links()`).
+struct IsNode {
+    isp: IsProcess,
+    links: Vec<LinkState>,
+    settings: IsSettings,
+    /// An X14 batch-flush timer is armed.
+    batch_scheduled: bool,
+    /// A reorder-fault flush timer is armed.
+    flush_scheduled: bool,
+    /// The IS-process is currently down.
+    crashed: bool,
+    /// A restart or attach happened; resync from the MCS replica as soon
+    /// as no operation is in flight.
+    resync_pending: bool,
     /// Frames ship with explicit-clock metadata while true: set by
     /// attach/recover, cleared when the resync sweep completes (the
     /// Nédelec-style fallback window; see [`FrameMeta`]).
     meta_clocked: bool,
-    /// Builder switch: every frame ships [`FrameMeta::Clocked`]
-    /// regardless of windows (the differential-test reference path).
-    force_clocked: bool,
-    /// Cumulative pairs shipped per link (first transmissions only);
-    /// the [`FrameMeta::O1`] counter.
-    link_sent_pairs: Vec<u64>,
-    /// Per-link per-origin-system ship counts; the
-    /// [`FrameMeta::Clocked`] vector. Inner vectors are sized by
-    /// [`WorldActor::configure_meta`] (empty until then — unconfigured
-    /// unit-test actors ship empty clocks).
-    link_clock: Vec<Vec<u64>>,
-    /// Cumulative pairs delivered per link (receiver side).
-    link_delivered: Vec<u64>,
-    /// High-water mark of the metadata counters observed per link; the
-    /// delivery condition checks `delivered ≤ high` on every delivery.
-    link_meta_high: Vec<u64>,
 }
 
 impl WorldActor {
-    /// Creates an application node (`isp: None`) or an IS-process node.
-    pub fn new(host: NodeHost, addr: Rc<AddressBook>, isp: Option<IsProcess>) -> Self {
-        let n_links = isp.as_ref().map_or(0, |i| i.links().len());
+    /// An application node (its driver is installed before the run).
+    pub(crate) fn app(host: NodeHost, addr: Rc<AddressBook>) -> Self {
         WorldActor {
             host,
-            driver: None,
-            pending_plan: None,
-            waiting_completion: false,
-            flush_scheduled: false,
-            batch_scheduled: false,
             addr,
-            isp,
-            transports: Vec::new(),
-            crash_windows: Vec::new(),
-            crashed: false,
-            resync_pending: false,
-            link_active: vec![true; n_links],
-            link_epochs: vec![0; n_links],
-            n_vars: 0,
             ids: None,
-            ops_fed: 0,
-            meta_clocked: false,
-            force_clocked: false,
-            link_sent_pairs: vec![0; n_links],
-            link_clock: vec![Vec::new(); n_links],
-            link_delivered: vec![0; n_links],
-            link_meta_high: vec![0; n_links],
+            role: Role::App(AppNode::default()),
         }
     }
 
-    /// Sizes the frame-metadata clocks for a world of `n_systems`
-    /// systems and installs the explicit-clock override. The builder
-    /// calls this on every IS-process node; actors built directly in
-    /// unit tests may skip it (their clocked frames carry empty
-    /// vectors).
-    pub(crate) fn configure_meta(&mut self, n_systems: usize, force_clocked: bool) {
-        for clock in &mut self.link_clock {
-            *clock = vec![0; n_systems];
+    /// An IS node running `isp` over `links` (same order as
+    /// `isp.links()`).
+    pub(crate) fn is_node(
+        host: NodeHost,
+        addr: Rc<AddressBook>,
+        isp: IsProcess,
+        links: Vec<LinkState>,
+        settings: IsSettings,
+    ) -> Self {
+        debug_assert_eq!(links.len(), isp.links().len(), "one state per link");
+        WorldActor {
+            host,
+            addr,
+            ids: None,
+            role: Role::Is(IsNode {
+                isp,
+                links,
+                settings,
+                batch_scheduled: false,
+                flush_scheduled: false,
+                crashed: false,
+                resync_pending: false,
+                meta_clocked: false,
+            }),
         }
-        self.force_clocked = force_clocked;
     }
 
     /// The interned metric ids (available from `on_start` onwards).
@@ -341,91 +430,28 @@ impl WorldActor {
         self.ids.expect("metric ids resolved in on_start")
     }
 
-    /// Installs reliable transports, one slot per IS link (same order
-    /// as `isp.links()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on application nodes or on a slot-count mismatch.
-    pub fn configure_transports(&mut self, configs: Vec<Option<ReliableConfig>>) {
-        let links = self
-            .isp
-            .as_ref()
-            .expect("transports belong to IS-process nodes")
-            .links()
-            .len();
-        assert_eq!(configs.len(), links, "one transport slot per link");
-        self.transports = configs
-            .into_iter()
-            .map(|cfg| {
-                cfg.map(|cfg| LinkTransport {
-                    tx: ReliableSender::new(cfg),
-                    rx: ReliableReceiver::new(),
-                    deadline: None,
-                })
-            })
-            .collect();
-    }
-
-    /// Sets the variable count swept by the restart/attach resync. The
-    /// builder installs it on every node; crash configuration re-sets
-    /// the same value.
-    pub(crate) fn set_n_vars(&mut self, n_vars: usize) {
-        self.n_vars = n_vars;
-    }
-
-    /// Installs the scripted crash schedule and the variable count used
-    /// by the restart resync.
-    ///
-    /// # Panics
-    ///
-    /// Panics on application nodes or on overlapping/unordered windows.
-    pub fn configure_crashes(&mut self, windows: Vec<(Duration, Duration)>, n_vars: usize) {
-        assert!(self.isp.is_some(), "crash schedules belong to IS-processes");
-        for w in windows.windows(2) {
-            assert!(
-                w[0].1 <= w[1].0,
-                "crash windows must be ordered and disjoint"
-            );
+    /// The IS node, for the membership calls of the world orchestrator.
+    fn is_node_mut(&mut self) -> &mut IsNode {
+        match &mut self.role {
+            Role::Is(node) => node,
+            Role::App(_) => panic!("membership changes apply to IS-process nodes"),
         }
-        self.crash_windows = windows;
-        self.n_vars = n_vars;
     }
 
     /// Total nanoseconds this node's reliable senders spent in degraded
     /// (coalescing) mode, and the high-water mark of their send queues.
     /// `None` if no reliable transport is configured.
     pub fn transport_totals(&self, now: SimTime) -> Option<(u64, usize)> {
-        let mut any = false;
-        let (mut ns, mut depth) = (0u64, 0usize);
-        for t in self.transports.iter().flatten() {
-            any = true;
-            ns += t.tx.degraded_ns_at(now);
-            depth = depth.max(t.tx.max_depth());
+        let Role::Is(node) = &self.role else {
+            return None;
+        };
+        let mut totals = None;
+        for t in node.links.iter().filter_map(|l| l.reliable.as_ref()) {
+            let (ns, depth) = totals.get_or_insert((0u64, 0usize));
+            *ns += t.tx.degraded_ns_at(now);
+            *depth = (*depth).max(t.tx.max_depth());
         }
-        any.then_some((ns, depth))
-    }
-
-    /// Whether the IS-process is currently down.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// Whether link `link` is live (both endpoint systems attached).
-    pub fn link_attached(&self, link: usize) -> bool {
-        self.link_active[link]
-    }
-
-    /// Current membership epoch of link `link`.
-    pub fn link_epoch(&self, link: usize) -> u64 {
-        self.link_epochs[link]
-    }
-
-    /// Marks link `link` detached at build time, before any traffic —
-    /// no epoch bump, no drain: epoch 0 of such a link simply never
-    /// carries a frame until the first attach.
-    pub(crate) fn preset_link_detached(&mut self, link: usize) {
-        self.link_active[link] = false;
+        totals
     }
 
     /// Runtime detach of link `link` (this end). Called by the world
@@ -439,24 +465,23 @@ impl WorldActor {
     ///
     /// # Panics
     ///
-    /// Panics if the link is already detached — membership events must
-    /// alternate (the chaos compiler guarantees this).
+    /// Panics on application nodes, or if the link is already detached
+    /// — membership events must alternate (the chaos compiler
+    /// guarantees this).
     pub fn detach_link(&mut self, link: usize, now: SimTime) -> u64 {
-        assert!(self.link_active[link], "detach of a detached link");
-        self.link_active[link] = false;
-        self.link_epochs[link] += 1;
+        let state = &mut self.is_node_mut().links[link];
+        assert!(state.active, "detach of a detached link");
+        state.active = false;
+        state.epoch += 1;
         // A resync armed before this detach targeted the old epoch; a
         // future attach re-arms a fresh sweep against the new one.
         let mut drained = 0u64;
-        if let Some(t) = self.transports.get_mut(link).and_then(Option::as_mut) {
+        if let Some(t) = state.reliable.as_mut() {
             drained += t.tx.crash(now) as u64;
             t.rx = ReliableReceiver::new();
             t.deadline = None;
         }
-        if let Some(isp) = self.isp.as_mut() {
-            drained += isp.take_batch(link).len() as u64;
-        }
-        drained
+        drained + std::mem::take(&mut state.batch).len() as u64
     }
 
     /// Runtime attach of link `link` (this end). Bumps the epoch (in
@@ -470,16 +495,18 @@ impl WorldActor {
     ///
     /// # Panics
     ///
-    /// Panics if the link is already attached.
+    /// Panics on application nodes, or if the link is already attached.
     pub fn attach_link(&mut self, link: usize) {
-        assert!(!self.link_active[link], "attach of an attached link");
-        self.link_active[link] = true;
-        self.link_epochs[link] += 1;
-        self.resync_pending = true;
+        let node = self.is_node_mut();
+        let state = &mut node.links[link];
+        assert!(!state.active, "attach of an attached link");
+        state.active = true;
+        state.epoch += 1;
+        node.resync_pending = true;
         // The membership change opens the explicit-clock window: the
         // constant-size delivery condition assumes a stable tree, so
         // frames fall back to full clocks until the resync completes.
-        self.meta_clocked = true;
+        node.meta_clocked = true;
     }
 
     /// Installs the workload driver (before the first `run`).
@@ -488,8 +515,10 @@ impl WorldActor {
     ///
     /// Panics on IS-process nodes — IS-processes only propagate.
     pub fn set_driver(&mut self, driver: Driver) {
-        assert!(self.isp.is_none(), "IS-processes do not run workloads");
-        self.driver = Some(driver);
+        match &mut self.role {
+            Role::App(app) => app.driver = Some(driver),
+            Role::Is(_) => panic!("IS-processes do not run workloads"),
+        }
     }
 
     /// The hosted MCS-process + bookkeeping.
@@ -504,9 +533,14 @@ impl WorldActor {
 
     /// The IS-process state, if this node hosts one.
     pub fn isp(&self) -> Option<&IsProcess> {
-        self.isp.as_ref()
+        match &self.role {
+            Role::Is(node) => Some(&node.isp),
+            Role::App(_) => None,
+        }
     }
+}
 
+impl AppNode {
     fn fetch_and_schedule(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
         let Some(driver) = self.driver.as_mut() else {
             return;
@@ -517,152 +551,201 @@ impl WorldActor {
         }
     }
 
-    fn issue_plan(&mut self, plan: OpPlan, ctx: &mut Ctx<'_, WorldMsg>) {
-        let ids = self.ids();
-        let mut sink = WorldSink {
-            ctx,
-            addr: &self.addr,
-            ids,
+    /// The think-time timer fired: issue the pending op.
+    fn on_op_timer(&mut self, host: &mut NodeHost, sink: &mut WorldSink<'_, '_>) {
+        let Some(plan) = self.pending_plan.take() else {
+            return;
         };
         match plan {
-            OpPlan::Read(var) => match self.isp.as_mut() {
-                Some(isp) => {
-                    self.host.issue_read(var, &mut sink, isp);
-                }
-                None => {
-                    self.host.issue_read(var, &mut sink, &mut NoUpcalls);
-                }
-            },
+            OpPlan::Read(var) => {
+                host.issue_read(var, sink, &mut NoUpcalls);
+            }
             OpPlan::Write(var, val) => {
-                sink.ctx.metrics().inc_id(ids.writes_issued);
-                match self.isp.as_mut() {
-                    Some(isp) => self.host.issue_write(var, val, &mut sink, isp),
-                    None => self.host.issue_write(var, val, &mut sink, &mut NoUpcalls),
+                sink.ctx.metrics().inc_id(sink.ids.writes_issued);
+                host.issue_write(var, val, sink, &mut NoUpcalls);
+            }
+        }
+        if host.op_in_flight() {
+            self.waiting_completion = true;
+        } else {
+            self.fetch_and_schedule(sink.ctx);
+        }
+        self.resume(host, sink.ctx);
+    }
+
+    /// Resumes the workload driver after a write completion.
+    fn resume(&mut self, host: &NodeHost, ctx: &mut Ctx<'_, WorldMsg>) {
+        if self.waiting_completion && !host.op_in_flight() {
+            self.waiting_completion = false;
+            self.fetch_and_schedule(ctx);
+        }
+    }
+
+    /// Streams newly recorded application operations to the run tap.
+    /// The online causal checker watches the application history (the
+    /// `global_history` every offline check runs on), so IS-process
+    /// nodes — whose `Propagate_in` writes are protocol plumbing, not
+    /// application ops — feed nothing. One branch when no tap is
+    /// installed.
+    fn feed_tap(&mut self, host: &NodeHost, ctx: &mut Ctx<'_, WorldMsg>) {
+        let n = host.ops().len();
+        if n == self.ops_fed {
+            return;
+        }
+        let t0 = ctx.profiling().then(std::time::Instant::now);
+        if let Some(tap) = ctx.tap() {
+            for rec in &host.ops()[self.ops_fed..] {
+                tap.op(rec);
+            }
+        }
+        self.ops_fed = n;
+        if let Some(t0) = t0 {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            ctx.record_span(SpanId::MonitorTap, ns);
+        }
+    }
+}
+
+/// An IS node handling one event, with the parts of its actor every
+/// node shares borrowed alongside.
+struct IsHandler<'a> {
+    host: &'a mut NodeHost,
+    addr: &'a AddressBook,
+    ids: CoreMetricIds,
+    node: &'a mut IsNode,
+}
+
+impl IsHandler<'_> {
+    /// Logs `pairs` as sent on link `link` and records them in the
+    /// lineage (`retx` marks a retransmission; no lineage record when
+    /// lineage is disabled).
+    fn log_sent(
+        &mut self,
+        link: usize,
+        pairs: &[(VarId, Value)],
+        retx: bool,
+        ctx: &mut Ctx<'_, WorldMsg>,
+    ) {
+        let to = self.node.isp.links()[link].peer_isp;
+        let me = self.host.proc();
+        let now = ctx.now();
+        for &(var, val) in pairs {
+            self.node.isp.log_sent(to, var, val, now);
+            if let Some(lin) = ctx.lineage() {
+                let (u, at) = (val.update_id(), now.as_nanos());
+                if retx {
+                    lin.retransmitted(u, me.system.0, me.index, to.system.0, at);
+                } else {
+                    lin.frame_sent(u, me.system.0, me.index, to.system.0, at);
                 }
             }
         }
     }
 
-    /// `true` when link `i` runs over the reliable transport sublayer.
-    fn link_is_reliable(&self, i: usize) -> bool {
-        self.transports.get(i).is_some_and(Option::is_some)
-    }
-
-    /// Records one pair leaving on an inter-system link in the lineage
-    /// (no-op when lineage is disabled). Associated so callers holding a
-    /// mutable borrow of `self.isp` can still pass the disjoint `host`
-    /// field.
-    fn record_link_send(
-        host: &NodeHost,
+    /// Puts `pairs` on raw link `link` — one `LinkBatch` message when
+    /// `batched`, else one `Link` message per pair — and counts, logs
+    /// and lineage-records every pair.
+    fn send_raw(
+        &mut self,
+        link: usize,
+        pairs: &[(VarId, Value)],
+        batched: bool,
         ctx: &mut Ctx<'_, WorldMsg>,
-        val: Value,
-        to_system: u16,
-        retx: bool,
     ) {
-        let at = ctx.now().as_nanos();
-        let me = host.proc();
-        if let Some(lin) = ctx.lineage() {
-            let u = val.update_id();
-            if retx {
-                lin.retransmitted(u, me.system.0, me.index, to_system, at);
-            } else {
-                lin.frame_sent(u, me.system.0, me.index, to_system, at);
+        let peer = self.node.isp.links()[link].peer_actor;
+        ctx.metrics()
+            .add_id(self.ids.link_pairs_sent, pairs.len() as u64);
+        if batched {
+            ctx.send(peer, WorldMsg::LinkBatch(pairs.to_vec()));
+        } else {
+            for &(var, val) in pairs {
+                ctx.send(peer, WorldMsg::Link { var, val });
             }
         }
+        self.log_sent(link, pairs, false, ctx);
     }
 
     /// Transmits each pair on every link except the pair's source link,
     /// and logs it. With X14 batching the pairs accumulate per link and
     /// go out together at the next batch flush; on a reliable link the
     /// pairs travel together in one transport frame.
-    fn send_pairs(&mut self, pairs: &[crate::isp::OutPair], ctx: &mut Ctx<'_, WorldMsg>) {
-        let ids = self.ids();
-        let Some(isp) = self.isp.as_mut() else {
-            return;
-        };
-        // Links are `Copy`: index per iteration instead of cloning the
-        // link table on every Propagate_out batch.
-        let n_links = isp.links().len();
-        let batching = isp.batch_window();
+    fn send_pairs(&mut self, pairs: &[OutPair], ctx: &mut Ctx<'_, WorldMsg>) {
+        let n_links = self.node.links.len();
+        let batching = self.node.settings.batch_window.is_some();
         for pair in pairs {
             for i in 0..n_links {
-                if Some(i) == pair.except || !self.link_active[i] {
+                let state = &mut self.node.links[i];
+                if Some(i) == pair.except || !state.active {
                     continue;
                 }
-                if batching.is_some() {
-                    isp.enqueue_batch(i, pair.var, pair.val);
-                } else if self.transports.get(i).is_some_and(Option::is_some) {
-                    // Framed below, link-major.
-                } else {
-                    let l = isp.links()[i];
-                    ctx.metrics().inc_id(ids.link_pairs_sent);
-                    ctx.send(
-                        l.peer_actor,
-                        WorldMsg::Link {
-                            var: pair.var,
-                            val: pair.val,
-                        },
-                    );
-                    isp.log_sent(l.peer_isp, pair.var, pair.val, ctx.now());
-                    Self::record_link_send(&self.host, ctx, pair.val, l.peer_isp.system.0, false);
+                if batching {
+                    state.batch.push((pair.var, pair.val));
+                } else if state.reliable.is_none() {
+                    self.send_raw(i, &[(pair.var, pair.val)], false, ctx);
                 }
+                // Reliable links are framed below, link-major.
             }
         }
-        if batching.is_none() {
-            for i in 0..n_links {
-                if !self.link_is_reliable(i) || !self.link_active[i] {
-                    continue;
-                }
-                let link_pairs: Vec<(VarId, Value)> = pairs
-                    .iter()
-                    .filter(|p| p.except != Some(i))
-                    .map(|p| (p.var, p.val))
-                    .collect();
-                if !link_pairs.is_empty() {
-                    self.offer_on_link(i, link_pairs, ctx);
-                }
+        if batching {
+            self.arm_batch_timer(ctx);
+            return;
+        }
+        for i in 0..n_links {
+            let state = &self.node.links[i];
+            if state.reliable.is_none() || !state.active {
+                continue;
+            }
+            let link_pairs: Vec<(VarId, Value)> = pairs
+                .iter()
+                .filter(|p| p.except != Some(i))
+                .map(|p| (p.var, p.val))
+                .collect();
+            if !link_pairs.is_empty() {
+                self.offer_on_link(i, link_pairs, ctx);
             }
         }
-        if let Some(window) = batching {
-            if self.isp.as_ref().unwrap().batches_pending() && !self.batch_scheduled {
-                self.batch_scheduled = true;
-                ctx.schedule(window, BATCH_TIMER);
-            }
+    }
+
+    /// Arms the X14 batch-flush timer if pairs wait and it is not armed.
+    fn arm_batch_timer(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
+        let Some(window) = self.node.settings.batch_window else {
+            return;
+        };
+        let pending = self.node.links.iter().any(|l| !l.batch.is_empty());
+        if pending && !self.node.batch_scheduled {
+            self.node.batch_scheduled = true;
+            ctx.schedule(window, BATCH_TIMER);
         }
     }
 
     /// Flushes every non-empty per-link batch as one `LinkBatch`
     /// message (or one transport frame on a reliable link).
     fn flush_batches(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        let n_links = match self.isp.as_ref() {
-            Some(isp) => isp.links().len(),
-            None => return,
-        };
-        let ids = self.ids();
-        for i in 0..n_links {
-            if !self.link_active[i] {
+        for i in 0..self.node.links.len() {
+            let state = &mut self.node.links[i];
+            if !state.active {
                 // Nothing accumulates for a detached link (enqueue is
                 // gated too); whatever was pending died with the detach.
                 continue;
             }
-            let batch = self.isp.as_mut().unwrap().take_batch(i);
+            let batch = std::mem::take(&mut state.batch);
             if batch.is_empty() {
                 continue;
             }
-            if self.link_is_reliable(i) {
+            if state.reliable.is_some() {
                 self.offer_on_link(i, batch, ctx);
-                continue;
+            } else {
+                self.send_raw(i, &batch, true, ctx);
             }
-            let isp = self.isp.as_mut().unwrap();
-            let l = isp.links()[i];
-            ctx.metrics()
-                .add_id(ids.link_pairs_sent, batch.len() as u64);
-            for &(var, val) in &batch {
-                isp.log_sent(l.peer_isp, var, val, ctx.now());
-                Self::record_link_send(&self.host, ctx, val, l.peer_isp.system.0, false);
-            }
-            ctx.send(l.peer_actor, WorldMsg::LinkBatch(batch));
         }
+    }
+
+    /// The reliable transport of link `link`.
+    fn transport(&mut self, link: usize) -> &mut LinkTransport {
+        self.node.links[link]
+            .reliable
+            .as_mut()
+            .expect("transport call on a raw link (mismatched LinkSpec.reliable?)")
     }
 
     /// Hands pairs to link `i`'s reliable sender: either a frame goes
@@ -675,25 +758,17 @@ impl WorldActor {
     ) {
         let now = ctx.now();
         let n_pairs = pairs.len() as u64;
-        let frame = self.transports[link]
-            .as_mut()
-            .expect("offer on a raw link")
-            .tx
-            .offer(pairs, now);
-        match frame {
+        let ids = self.ids;
+        match self.transport(link).tx.offer(pairs, now) {
             Some(frame) => {
-                ctx.metrics().add_id(self.ids().link_pairs_sent, n_pairs);
+                ctx.metrics().add_id(ids.link_pairs_sent, n_pairs);
                 self.ship_frame(link, frame, false, ctx);
             }
             None => {
-                ctx.metrics().add_id(self.ids().degraded_coalesced, n_pairs);
-                let shed = self.transports[link]
-                    .as_mut()
-                    .expect("offer on a raw link")
-                    .tx
-                    .take_shed();
+                ctx.metrics().add_id(ids.degraded_coalesced, n_pairs);
+                let shed = self.transport(link).tx.take_shed();
                 if shed > 0 {
-                    ctx.metrics().add_id(self.ids().partition_sheds, shed);
+                    ctx.metrics().add_id(ids.partition_sheds, shed);
                     ctx.note_with(|| format!("backlog cap: shed {shed} oldest pairs"));
                 }
             }
@@ -710,48 +785,43 @@ impl WorldActor {
         retx: bool,
         ctx: &mut Ctx<'_, WorldMsg>,
     ) {
-        let ids = self.ids();
-        let epoch = self.link_epochs[link];
+        let ids = self.ids;
+        let clocked = self.node.settings.force_clocked || self.node.meta_clocked;
+        let state = &mut self.node.links[link];
         // First transmissions advance the metadata counters; a
         // retransmission re-reads them (its counters are ≥ the
         // original's, which the receiver's `≤ high-water` check
         // tolerates by construction).
         if !retx {
-            self.link_sent_pairs[link] += frame.pairs.len() as u64;
-            if !self.link_clock[link].is_empty() {
-                for &(_, val) in &frame.pairs {
-                    let origin = usize::from(val.origin().system.0);
-                    if let Some(slot) = self.link_clock[link].get_mut(origin) {
-                        *slot += 1;
-                    }
+            state.sent_pairs += frame.pairs.len() as u64;
+            for &(_, val) in &frame.pairs {
+                let origin = usize::from(val.origin().system.0);
+                if let Some(slot) = state.clock.get_mut(origin) {
+                    *slot += 1;
                 }
             }
         }
-        let meta = if self.force_clocked || self.meta_clocked {
+        let meta = if clocked {
             ctx.metrics().inc_id(ids.frames_clocked);
             FrameMeta::Clocked {
-                clock: self.link_clock[link].clone(),
+                clock: state.clock.clone(),
             }
         } else {
             ctx.metrics().inc_id(ids.frames_o1);
             FrameMeta::O1 {
-                sent: self.link_sent_pairs[link],
+                sent: state.sent_pairs,
             }
         };
+        let epoch = state.epoch;
         let bytes = if meta.is_clocked() {
             ids.meta_bytes_clocked
         } else {
             ids.meta_bytes_o1
         };
         ctx.metrics().add_id(bytes, meta.wire_bytes());
-        let isp = self.isp.as_mut().expect("frames originate at IS-processes");
-        let end = isp.links()[link];
-        for &(var, val) in &frame.pairs {
-            isp.log_sent(end.peer_isp, var, val, ctx.now());
-            Self::record_link_send(&self.host, ctx, val, end.peer_isp.system.0, retx);
-        }
+        self.log_sent(link, &frame.pairs, retx, ctx);
         ctx.send(
-            end.peer_actor,
+            self.node.isp.links()[link].peer_actor,
             WorldMsg::Frame {
                 seq: frame.seq,
                 lo: frame.lo,
@@ -767,7 +837,7 @@ impl WorldActor {
     /// Arms the retransmission timer for link `i` if it is not armed:
     /// current (backed-off) timeout plus uniform jitter.
     fn arm_retx_timer(&mut self, link: usize, ctx: &mut Ctx<'_, WorldMsg>) {
-        let t = self.transports[link].as_mut().expect("reliable link");
+        let t = self.transport(link);
         if t.deadline.is_some() {
             return;
         }
@@ -782,26 +852,23 @@ impl WorldActor {
             Duration::ZERO
         };
         let delay = base.saturating_add(jitter);
-        let t = self.transports[link].as_mut().expect("reliable link");
-        t.deadline = Some(ctx.now() + delay);
+        self.transport(link).deadline = Some(ctx.now() + delay);
         let index = u64::try_from(link).expect("link index fits a timer key");
         ctx.schedule(delay, timer_key(TIMER_CLASS_RETX, index));
     }
 
     /// The retransmit timer for link `i` fired.
     fn on_retx_timer(&mut self, link: usize, ctx: &mut Ctx<'_, WorldMsg>) {
-        let Some(t) = self.transports.get_mut(link).and_then(Option::as_mut) else {
-            return;
-        };
+        let (crashed, ids) = (self.node.crashed, self.ids);
+        let t = self.transport(link);
         if t.deadline != Some(ctx.now()) {
             return; // Stale timer from before an ack or a crash.
         }
         t.deadline = None;
-        if self.crashed {
+        if crashed {
             return;
         }
         let was_backed_off = t.tx.current_timeout() > t.tx.config().rto;
-        let ids = self.ids.expect("metric ids resolved in on_start");
         match t.tx.on_timeout(ctx.now()) {
             TimeoutAction::Idle => {}
             TimeoutAction::Retransmit(frame) => {
@@ -830,6 +897,26 @@ impl WorldActor {
         }
     }
 
+    /// Passes a received pair to `Propagate_in`, or queues it behind
+    /// the IS-process's blocked write call (FIFO order preserved).
+    /// Returns whether it was propagated now.
+    fn receive_pair(
+        &mut self,
+        link: usize,
+        var: VarId,
+        val: Value,
+        ctx: &mut Ctx<'_, WorldMsg>,
+    ) -> bool {
+        if self.host.write_in_flight() {
+            ctx.metrics().inc_id(self.ids.causal_wait_stalls);
+            self.node.isp.defer_incoming(link, var, val);
+            false
+        } else {
+            self.propagate_in(link, var, val, ctx);
+            true
+        }
+    }
+
     /// An incoming transport frame on link `link`.
     #[allow(clippy::too_many_arguments)]
     fn on_frame(
@@ -846,11 +933,8 @@ impl WorldActor {
         // record in case the frame turns out to be a duplicate (only
         // when lineage is on — disabled runs never clone).
         let dup_pairs = ctx.lineage().is_some().then(|| pairs.clone());
-        let ids = self.ids();
-        let t = self.transports[link]
-            .as_mut()
-            .expect("frame on a raw link (mismatched LinkSpec.reliable?)");
-        let outcome = t.rx.on_frame(seq, lo, pairs, checksum);
+        let ids = self.ids;
+        let outcome = self.transport(link).rx.on_frame(seq, lo, pairs, checksum);
         if outcome.corrupt {
             // No ack: silence makes the sender retransmit an intact copy.
             ctx.metrics().inc_id(ids.corrupt_rejected);
@@ -866,18 +950,13 @@ impl WorldActor {
             FrameMeta::O1 { sent } => *sent,
             FrameMeta::Clocked { clock } => clock.iter().sum(),
         };
-        self.link_meta_high[link] = self.link_meta_high[link].max(observed);
+        let end = self.node.isp.links()[link];
+        let state = &mut self.node.links[link];
+        state.meta_high = state.meta_high.max(observed);
         if outcome.duplicate {
             ctx.metrics().inc_id(ids.dedup_drops);
             if let Some(dup) = dup_pairs {
-                let from_system = self
-                    .isp
-                    .as_ref()
-                    .expect("frames arrive at IS-processes")
-                    .links()[link]
-                    .peer_isp
-                    .system
-                    .0;
+                let from_system = end.peer_isp.system.0;
                 let me = self.host.proc();
                 let at = ctx.now().as_nanos();
                 if let Some(lin) = ctx.lineage() {
@@ -889,17 +968,16 @@ impl WorldActor {
         }
         if let Some(cum) = outcome.ack {
             ctx.metrics().inc_id(ids.acks);
-            let peer = self
-                .isp
-                .as_ref()
-                .expect("frames arrive at IS-processes")
-                .links()[link]
-                .peer_actor;
-            let epoch = self.link_epochs[link];
-            ctx.send(peer, WorldMsg::Ack { cum, epoch });
+            ctx.send(
+                end.peer_actor,
+                WorldMsg::Ack {
+                    cum,
+                    epoch: state.epoch,
+                },
+            );
         }
-        self.link_delivered[link] += outcome.deliver.len() as u64;
-        if self.link_delivered[link] > self.link_meta_high[link] {
+        state.delivered += outcome.deliver.len() as u64;
+        if state.delivered > state.meta_high {
             // More pairs delivered than any sender counter accounts
             // for: the delivery condition is violated (harness bug or
             // metadata regression, never expected in a correct run).
@@ -907,17 +985,12 @@ impl WorldActor {
             debug_assert!(
                 false,
                 "delivery condition violated on link {link}: delivered {} > high {}",
-                self.link_delivered[link], self.link_meta_high[link]
+                state.delivered, state.meta_high
             );
         }
         // Released pairs behave exactly like an in-order batch.
         for (var, val) in outcome.deliver {
-            if self.host.write_in_flight() {
-                ctx.metrics().inc_id(ids.causal_wait_stalls);
-                self.isp.as_mut().unwrap().defer_incoming(link, var, val);
-            } else {
-                self.propagate_in(link, var, val, ctx);
-            }
+            self.receive_pair(link, var, val, ctx);
         }
         self.post_actions(ctx);
     }
@@ -925,24 +998,20 @@ impl WorldActor {
     /// An incoming cumulative ack on link `link`.
     fn on_transport_ack(&mut self, link: usize, cum: u64, ctx: &mut Ctx<'_, WorldMsg>) {
         let now = ctx.now();
-        let (acked, flush) = self.transports[link]
-            .as_mut()
-            .expect("ack on a raw link")
-            .tx
-            .on_ack(cum, now);
+        let t = self.transport(link);
+        let (acked, flush) = t.tx.on_ack(cum, now);
         if acked > 0 {
             // Restart the retransmission timer from the ack: the old
             // deadline belongs to an already-acked frame, and letting it
             // fire would retransmit a still-fresh head (spurious resends
             // on a busy fault-free link). The stale-deadline check
             // retires the old timer event.
-            let t = self.transports[link].as_mut().expect("ack on a raw link");
             t.deadline = None;
             if t.tx.in_flight() > 0 {
                 self.arm_retx_timer(link, ctx);
             }
             if let Some(frame) = flush {
-                let ids = self.ids();
+                let ids = self.ids;
                 ctx.metrics().inc_id(ids.degraded_flushes);
                 ctx.metrics()
                     .add_id(ids.link_pairs_sent, frame.pairs.len() as u64);
@@ -957,39 +1026,38 @@ impl WorldActor {
     /// incoming pairs — while the MCS replica (the memory itself)
     /// survives. Incoming link traffic is dropped until restart.
     fn crash(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        if self.crashed {
+        let node = &mut *self.node;
+        if node.crashed {
             return; // Composed chaos schedules may double-fire.
         }
-        self.crashed = true;
-        ctx.metrics().inc_id(self.ids().crashes);
+        node.crashed = true;
+        ctx.metrics().inc_id(self.ids.crashes);
         ctx.note("IS-process crashed".to_string());
         // A resync that was armed but has not swept yet dies with the
         // crash: its snapshot would mix pre- and post-crash state, and
         // any frames it already queued are destroyed below. Recovery
         // re-arms a *fresh* sweep, so a half-applied resync is always
         // discarded and restarted, never merged.
-        self.resync_pending = false;
-        self.meta_clocked = false;
+        node.resync_pending = false;
+        node.meta_clocked = false;
         let now = ctx.now();
         let mut lost = 0u64;
-        for t in self.transports.iter_mut().flatten() {
-            lost += t.tx.crash(now) as u64;
-            t.deadline = None;
+        for state in &mut node.links {
+            if let Some(t) = state.reliable.as_mut() {
+                lost += t.tx.crash(now) as u64;
+                t.deadline = None;
+            }
+            lost += std::mem::take(&mut state.batch).len() as u64;
         }
-        if let Some(isp) = self.isp.as_mut() {
-            lost += isp.take_ready().len() as u64;
-            for i in 0..isp.links().len() {
-                lost += isp.take_batch(i).len() as u64;
-            }
-            while isp.flush_reordered().is_some() {
-                lost += 1;
-            }
-            while isp.next_deferred().is_some() {
-                lost += 1;
-            }
+        lost += node.isp.take_ready().len() as u64;
+        while node.isp.flush_reordered().is_some() {
+            lost += 1;
+        }
+        while node.isp.next_deferred().is_some() {
+            lost += 1;
         }
         if lost > 0 {
-            ctx.metrics().add_id(self.ids().pairs_lost_in_crash, lost);
+            ctx.metrics().add_id(self.ids.pairs_lost_in_crash, lost);
         }
     }
 
@@ -998,33 +1066,25 @@ impl WorldActor {
     /// every variable — forging the causal links, the paper's trick —
     /// and re-sends the current values to its peers).
     fn recover(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        if !self.crashed {
+        if !self.node.crashed {
             return; // Composed chaos schedules may double-fire.
         }
-        self.crashed = false;
-        ctx.metrics().inc_id(self.ids().recoveries);
+        self.node.crashed = false;
+        ctx.metrics().inc_id(self.ids.recoveries);
         ctx.note("IS-process restarted".to_string());
-        self.resync_pending = true;
-        self.meta_clocked = true;
+        self.node.resync_pending = true;
+        self.node.meta_clocked = true;
         self.post_actions(ctx);
     }
 
     /// The restart resync sweep.
     fn resync(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        let ids = self.ids();
-        let n_links = self.isp.as_ref().map_or(0, |isp| isp.links().len());
-        let mut pairs: Vec<(VarId, Value)> = Vec::new();
-        for v in 0..self.n_vars {
+        let ids = self.ids;
+        let (addr, mut pairs) = (self.addr, Vec::new());
+        for v in 0..self.node.settings.n_vars {
             let var = VarId(u32::try_from(v).expect("variable index fits u32"));
-            {
-                let mut sink = WorldSink {
-                    ctx,
-                    addr: &self.addr,
-                    ids,
-                };
-                let isp = self.isp.as_mut().expect("resync on an IS-process");
-                self.host.issue_read(var, &mut sink, isp);
-            }
+            let mut sink = WorldSink { ctx, addr, ids };
+            self.host.issue_read(var, &mut sink, &mut self.node.isp);
             if let Some(val) = self.host.peek(var) {
                 pairs.push((var, val));
             }
@@ -1032,28 +1092,22 @@ impl WorldActor {
         if pairs.is_empty() {
             return;
         }
-        let active_links = (0..n_links).filter(|&i| self.link_active[i]).count();
+        let active_links = self.node.links.iter().filter(|l| l.active).count();
         if active_links == 0 {
             return;
         }
         ctx.metrics()
             .add_id(ids.resync_pairs, (pairs.len() * active_links) as u64);
         ctx.note_with(|| format!("resync: re-sent {} pairs per link", pairs.len()));
-        for i in 0..n_links {
-            if !self.link_active[i] {
+        for i in 0..self.node.links.len() {
+            let state = &self.node.links[i];
+            if !state.active {
                 continue;
             }
-            if self.link_is_reliable(i) {
+            if state.reliable.is_some() {
                 self.offer_on_link(i, pairs.clone(), ctx);
             } else {
-                let isp = self.isp.as_mut().unwrap();
-                let end = isp.links()[i];
-                for &(var, val) in &pairs {
-                    ctx.metrics().inc_id(ids.link_pairs_sent);
-                    ctx.send(end.peer_actor, WorldMsg::Link { var, val });
-                    isp.log_sent(end.peer_isp, var, val, ctx.now());
-                    Self::record_link_send(&self.host, ctx, val, end.peer_isp.system.0, false);
-                }
+                self.send_raw(i, &pairs, false, ctx);
             }
         }
     }
@@ -1063,228 +1117,134 @@ impl WorldActor {
     /// the write *applies* — see [`IsProcess::begin_forward`] — so the
     /// wire order equals the replica-update order (Lemma 1).
     fn propagate_in(&mut self, link: usize, var: VarId, val: Value, ctx: &mut Ctx<'_, WorldMsg>) {
-        let ids = self.ids();
+        let ids = self.ids;
         ctx.metrics().inc_id(ids.propagate_in);
         ctx.note_with(|| format!("Propagate_in({var},{val})"));
-        {
-            // Register the update's arrival in this system (and its hop
-            // count) before the write's apply events are recorded.
-            let from_system = self
-                .isp
-                .as_ref()
-                .expect("propagate_in on non-isp node")
-                .links()[link]
-                .peer_isp
-                .system
-                .0;
-            let me = self.host.proc();
-            let at = ctx.now().as_nanos();
-            if let Some(lin) = ctx.lineage() {
-                lin.remote_written(val.update_id(), me.system.0, me.index, from_system, at);
-            }
+        // Register the update's arrival in this system (and its hop
+        // count) before the write's apply events are recorded.
+        let from_system = self.node.isp.links()[link].peer_isp.system.0;
+        let me = self.host.proc();
+        let at = ctx.now().as_nanos();
+        if let Some(lin) = ctx.lineage() {
+            lin.remote_written(val.update_id(), me.system.0, me.index, from_system, at);
         }
-        let mut sink = WorldSink {
-            ctx,
-            addr: &self.addr,
-            ids,
-        };
-        let isp = self.isp.as_mut().expect("propagate_in on non-isp node");
-        isp.begin_forward(link, var, val);
-        self.host.issue_write(var, val, &mut sink, isp);
+        let addr = self.addr;
+        let mut sink = WorldSink { ctx, addr, ids };
+        self.node.isp.begin_forward(link, var, val);
+        self.host
+            .issue_write(var, val, &mut sink, &mut self.node.isp);
     }
 
-    /// Drains `Propagate_out` pairs produced during the last host call
-    /// and arms the reorder-fault flush timer if needed.
-    fn flush_ready(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        let Some(isp) = self.isp.as_mut() else {
-            return;
-        };
-        if self.crashed {
-            // The replica keeps applying updates, but the crashed
-            // IS-process cannot propagate them; the restart resync
-            // re-reads the replica and covers the loss.
-            let dropped = isp.take_ready().len() as u64;
-            if dropped > 0 {
-                let ids = self.ids.expect("metric ids resolved in on_start");
-                ctx.metrics().add_id(ids.pairs_lost_in_crash, dropped);
-            }
-            return;
-        }
-        let ready = isp.take_ready();
-        if !ready.is_empty() {
-            let ids = self.ids.expect("metric ids resolved in on_start");
-            ctx.metrics().add_id(ids.propagate_out, ready.len() as u64);
-            self.send_pairs(&ready, ctx);
-        }
-        let isp = self.isp.as_ref().unwrap();
-        if let IsFault::ReorderBatch { window } = isp.fault() {
-            if isp.stash_len() > 0 && !self.flush_scheduled {
-                self.flush_scheduled = true;
+    /// Arms the reorder-fault flush timer if pairs are stashed and it is
+    /// not armed.
+    fn arm_flush_timer(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
+        if let IsFault::ReorderBatch { window } = self.node.isp.fault() {
+            if self.node.isp.stash_len() > 0 && !self.node.flush_scheduled {
+                self.node.flush_scheduled = true;
                 ctx.schedule(window, FLUSH_TIMER);
             }
         }
     }
 
+    /// Drains `Propagate_out` pairs produced during the last host call
+    /// and arms the reorder-fault flush timer if needed.
+    fn flush_ready(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
+        let ready = self.node.isp.take_ready();
+        if self.node.crashed {
+            // The replica keeps applying updates, but the crashed
+            // IS-process cannot propagate them; the restart resync
+            // re-reads the replica and covers the loss.
+            if !ready.is_empty() {
+                ctx.metrics()
+                    .add_id(self.ids.pairs_lost_in_crash, ready.len() as u64);
+            }
+            return;
+        }
+        if !ready.is_empty() {
+            ctx.metrics()
+                .add_id(self.ids.propagate_out, ready.len() as u64);
+            self.send_pairs(&ready, ctx);
+        }
+        self.arm_flush_timer(ctx);
+    }
+
     /// Everything that must happen after the host processed an event:
-    /// flush Propagate_out pairs, drain deferred incoming pairs, resume
-    /// the workload driver after a write completion.
+    /// flush Propagate_out pairs, drain deferred incoming pairs, run an
+    /// armed resync once the host is free.
     fn post_actions(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        if self.isp.is_some() {
+        self.flush_ready(ctx);
+        while !self.node.crashed && !self.host.write_in_flight() {
+            let Some((link, var, val)) = self.node.isp.next_deferred() else {
+                break;
+            };
+            self.propagate_in(link, var, val, ctx);
             self.flush_ready(ctx);
-            while !self.crashed && !self.host.write_in_flight() {
-                let Some((link, var, val)) = self.isp.as_mut().unwrap().next_deferred() else {
-                    break;
-                };
-                self.propagate_in(link, var, val, ctx);
-                self.flush_ready(ctx);
-            }
-            if self.resync_pending && !self.crashed && !self.host.op_in_flight() {
-                self.resync_pending = false;
-                self.resync(ctx);
-                // The resync snapshot went out under explicit clocks;
-                // the tree is consistent again — back to O(1) metadata.
-                self.meta_clocked = false;
-            }
         }
-        if self.waiting_completion && !self.host.op_in_flight() {
-            self.waiting_completion = false;
-            self.fetch_and_schedule(ctx);
+        if self.node.resync_pending && !self.node.crashed && !self.host.op_in_flight() {
+            self.node.resync_pending = false;
+            self.resync(ctx);
+            // The resync snapshot went out under explicit clocks;
+            // the tree is consistent again — back to O(1) metadata.
+            self.node.meta_clocked = false;
         }
     }
 
-    /// Streams newly recorded application operations to the run tap.
-    /// The online causal checker watches the application history (the
-    /// `global_history` every offline check runs on), so IS-process
-    /// nodes — whose `Propagate_in` writes are protocol plumbing, not
-    /// application ops — feed nothing. One branch when no tap is
-    /// installed.
-    fn feed_tap(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        if self.isp.is_some() {
-            return;
+    /// The receive guard every link message passes: a crashed node
+    /// drops it, the sender's link is looked up, and traffic on a
+    /// detached link or from another epoch is rejected, never applied.
+    /// `epoch` is the message's stamp (`None` on raw links, which carry
+    /// none, so membership itself gates them); `pairs` weighs a
+    /// rejection in `stale_epoch_rejected`. Returns the link of an
+    /// accepted message.
+    fn accept(
+        &mut self,
+        from: ActorId,
+        epoch: Option<u64>,
+        pairs: usize,
+        ctx: &mut Ctx<'_, WorldMsg>,
+    ) -> Option<usize> {
+        if self.node.crashed {
+            ctx.metrics().inc_id(self.ids.recv_dropped_crashed);
+            return None;
         }
-        let n = self.host.ops().len();
-        if n == self.ops_fed {
-            return;
+        let link = self
+            .node
+            .isp
+            .link_from_actor(from)
+            .unwrap_or_else(|| panic!("link message from unknown actor {from}"));
+        let state = &self.node.links[link];
+        if !state.active || epoch.is_some_and(|e| e != state.epoch) {
+            ctx.metrics()
+                .add_id(self.ids.stale_epoch_rejected, pairs as u64);
+            return None;
         }
-        let t0 = ctx.profiling().then(std::time::Instant::now);
-        if let Some(tap) = ctx.tap() {
-            for rec in &self.host.ops()[self.ops_fed..] {
-                tap.op(rec);
-            }
-        }
-        self.ops_fed = n;
-        if let Some(t0) = t0 {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ctx.record_span(SpanId::MonitorTap, ns);
-        }
-    }
-}
-
-impl Actor<WorldMsg> for WorldActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
-        // Intern every counter name this actor will ever touch; the ids
-        // are shared across actors because the registry deduplicates.
-        // Interned-but-untouched names never appear in snapshots.
-        self.ids = Some(CoreMetricIds::resolve(ctx.metrics()));
-        self.fetch_and_schedule(ctx);
-        for &(down, up) in &self.crash_windows.clone() {
-            ctx.schedule(down, CRASH_TIMER);
-            ctx.schedule(up, RECOVER_TIMER);
-        }
+        Some(link)
     }
 
-    fn on_message(&mut self, from: ActorId, msg: WorldMsg, ctx: &mut Ctx<'_, WorldMsg>) {
-        // Span profiling mirrors `feed_tap`'s placement: an early-return
-        // arm (crashed / stale epoch) does negligible work and records
-        // nothing, exactly as it feeds nothing.
-        let t0 = ctx.profiling().then(std::time::Instant::now);
-        let span = match &msg {
-            WorldMsg::Mcs(_) => SpanId::ProtocolStep,
-            _ => SpanId::Transport,
-        };
+    /// Handles one message; `false` if the receive guard rejected it.
+    fn on_message(&mut self, from: ActorId, msg: WorldMsg, ctx: &mut Ctx<'_, WorldMsg>) -> bool {
         match msg {
             WorldMsg::Mcs(m) => {
-                let ids = self.ids();
-                let from_proc = self.addr.proc_of(from);
-                let buffered_before = self.host.buffered();
-                let applied_before = self.host.updates().len();
-                let addr = Rc::clone(&self.addr);
-                let mut sink = WorldSink {
-                    ctx,
-                    addr: &addr,
-                    ids,
-                };
-                match self.isp.as_mut() {
-                    Some(isp) => self.host.on_mcs_message(from_proc, m, &mut sink, isp),
-                    None => self
-                        .host
-                        .on_mcs_message(from_proc, m, &mut sink, &mut NoUpcalls),
-                }
-                let buffered_after = self.host.buffered();
-                if buffered_after > buffered_before {
-                    ctx.metrics().add_id(
-                        ids.causal_wait_stalls,
-                        (buffered_after - buffered_before) as u64,
-                    );
-                }
-                let applied_after = self.host.updates().len();
-                if applied_after > applied_before {
-                    ctx.metrics()
-                        .add_id(ids.updates_applied, (applied_after - applied_before) as u64);
-                }
+                let (addr, ids) = (self.addr, self.ids);
+                WorldSink { ctx, addr, ids }.deliver(self.host, from, m, &mut self.node.isp);
                 self.post_actions(ctx);
             }
             WorldMsg::Link { var, val } => {
-                if self.crashed {
-                    ctx.metrics().inc_id(self.ids().recv_dropped_crashed);
-                    return;
-                }
-                let link = self
-                    .isp
-                    .as_ref()
-                    .and_then(|isp| isp.link_from_actor(from))
-                    .unwrap_or_else(|| panic!("link pair from unknown actor {from}"));
-                if !self.link_active[link] {
-                    // In flight when the link detached; raw links carry
-                    // no epoch, so membership itself gates them.
-                    ctx.metrics().inc_id(self.ids().stale_epoch_rejected);
-                    return;
-                }
-                if self.host.write_in_flight() {
-                    // The IS-process is blocked in a write call; the pair
-                    // waits its turn (FIFO order preserved).
-                    ctx.metrics().inc_id(self.ids().causal_wait_stalls);
-                    self.isp.as_mut().unwrap().defer_incoming(link, var, val);
-                } else {
-                    self.propagate_in(link, var, val, ctx);
+                let Some(link) = self.accept(from, None, 1, ctx) else {
+                    return false;
+                };
+                if self.receive_pair(link, var, val, ctx) {
                     self.post_actions(ctx);
                 }
             }
             WorldMsg::LinkBatch(pairs) => {
-                if self.crashed {
-                    ctx.metrics().inc_id(self.ids().recv_dropped_crashed);
-                    return;
-                }
-                let ids = self.ids();
-                let link = self
-                    .isp
-                    .as_ref()
-                    .and_then(|isp| isp.link_from_actor(from))
-                    .unwrap_or_else(|| panic!("link batch from unknown actor {from}"));
-                if !self.link_active[link] {
-                    ctx.metrics()
-                        .add_id(self.ids().stale_epoch_rejected, pairs.len() as u64);
-                    return;
-                }
+                let Some(link) = self.accept(from, None, pairs.len(), ctx) else {
+                    return false;
+                };
                 // Process in batch order; once a Propagate_in write
                 // blocks, the rest defer behind it (order preserved).
                 for (var, val) in pairs {
-                    if self.host.write_in_flight() {
-                        ctx.metrics().inc_id(ids.causal_wait_stalls);
-                        self.isp.as_mut().unwrap().defer_incoming(link, var, val);
-                    } else {
-                        self.propagate_in(link, var, val, ctx);
-                    }
+                    self.receive_pair(link, var, val, ctx);
                 }
                 self.post_actions(ctx);
             }
@@ -1296,115 +1256,146 @@ impl Actor<WorldMsg> for WorldActor {
                 epoch,
                 meta,
             } => {
-                if self.crashed {
-                    // No ack while down: the peer keeps retransmitting
-                    // and refills the gap after the restart.
-                    ctx.metrics().inc_id(self.ids().recv_dropped_crashed);
-                    return;
-                }
-                let link = self
-                    .isp
-                    .as_ref()
-                    .and_then(|isp| isp.link_from_actor(from))
-                    .unwrap_or_else(|| panic!("frame from unknown actor {from}"));
-                if !self.link_active[link] || epoch != self.link_epochs[link] {
-                    // Stale frame from a detached epoch: rejected, not
-                    // applied — and not acked, the sender of that epoch
-                    // is gone.
-                    ctx.metrics().inc_id(self.ids().stale_epoch_rejected);
-                    ctx.note_with(|| format!("rejected frame #{seq} from stale epoch {epoch}"));
-                    return;
-                }
+                let Some(link) = self.accept(from, Some(epoch), 1, ctx) else {
+                    // A crashed node sends no ack: the peer keeps
+                    // retransmitting and refills the gap after the
+                    // restart. A stale frame is not acked either: the
+                    // sender of that epoch is gone.
+                    if !self.node.crashed {
+                        ctx.note_with(|| format!("rejected frame #{seq} from stale epoch {epoch}"));
+                    }
+                    return false;
+                };
                 self.on_frame(link, seq, lo, pairs, checksum, meta, ctx);
             }
             WorldMsg::Ack { cum, epoch } => {
-                if self.crashed {
-                    ctx.metrics().inc_id(self.ids().recv_dropped_crashed);
-                    return;
-                }
-                let link = self
-                    .isp
-                    .as_ref()
-                    .and_then(|isp| isp.link_from_actor(from))
-                    .unwrap_or_else(|| panic!("ack from unknown actor {from}"));
-                if !self.link_active[link] || epoch != self.link_epochs[link] {
-                    ctx.metrics().inc_id(self.ids().stale_epoch_rejected);
-                    return;
-                }
+                let Some(link) = self.accept(from, Some(epoch), 1, ctx) else {
+                    return false;
+                };
                 self.on_transport_ack(link, cum, ctx);
             }
         }
-        if let Some(t0) = t0 {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ctx.record_span(span, ns);
-        }
-        self.feed_tap(ctx);
+        true
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, WorldMsg>) {
         match timer_parts(token) {
-            (TIMER_CLASS_CONTROL, OP_TIMER) => {
-                if let Some(plan) = self.pending_plan.take() {
-                    self.issue_plan(plan, ctx);
-                    if self.host.op_in_flight() {
-                        self.waiting_completion = true;
-                    } else {
-                        self.fetch_and_schedule(ctx);
-                    }
-                    self.post_actions(ctx);
-                }
-            }
             (TIMER_CLASS_CONTROL, CRASH_TIMER) => self.crash(ctx),
             (TIMER_CLASS_CONTROL, RECOVER_TIMER) => self.recover(ctx),
             (TIMER_CLASS_CONTROL, POKE_TIMER) => {
                 // Harness poke after out-of-band surgery (attach):
                 // observe the new state with a live context so an armed
                 // resync runs now instead of waiting for traffic.
-                if !self.crashed {
+                if !self.node.crashed {
                     self.post_actions(ctx);
                 }
             }
             (TIMER_CLASS_CONTROL, BATCH_TIMER) => {
-                self.batch_scheduled = false;
-                if self.crashed {
+                self.node.batch_scheduled = false;
+                if self.node.crashed {
                     return; // Buffers were drained by the crash.
                 }
                 self.flush_batches(ctx);
-                if let Some(isp) = self.isp.as_ref() {
-                    if let Some(window) = isp.batch_window() {
-                        if isp.batches_pending() {
-                            self.batch_scheduled = true;
-                            ctx.schedule(window, BATCH_TIMER);
-                        }
-                    }
-                }
+                self.arm_batch_timer(ctx);
             }
             (TIMER_CLASS_CONTROL, FLUSH_TIMER) => {
-                self.flush_scheduled = false;
-                if self.crashed {
+                self.node.flush_scheduled = false;
+                if self.node.crashed {
                     return;
                 }
-                if let Some(isp) = self.isp.as_mut() {
-                    if let Some(pair) = isp.flush_reordered() {
-                        ctx.note("reorder-fault send (newest-first)".to_string());
-                        self.send_pairs(&[pair], ctx);
-                    }
-                    let isp = self.isp.as_ref().unwrap();
-                    if let IsFault::ReorderBatch { window } = isp.fault() {
-                        if isp.stash_len() > 0 {
-                            self.flush_scheduled = true;
-                            ctx.schedule(window, FLUSH_TIMER);
-                        }
-                    }
+                if let Some(pair) = self.node.isp.flush_reordered() {
+                    ctx.note("reorder-fault send (newest-first)".to_string());
+                    self.send_pairs(&[pair], ctx);
                 }
+                self.arm_flush_timer(ctx);
             }
             (TIMER_CLASS_RETX, link) => {
                 let link = usize::try_from(link).expect("retx timer index fits usize");
                 self.on_retx_timer(link, ctx);
             }
-            (class, index) => panic!("unknown timer token: class {class} index {index}"),
+            _ => unknown_timer(token),
         }
-        self.feed_tap(ctx);
+    }
+}
+
+impl Actor<WorldMsg> for WorldActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, WorldMsg>) {
+        // Intern every counter name this actor will ever touch; the ids
+        // are shared across actors because the registry deduplicates.
+        // Interned-but-untouched names never appear in snapshots.
+        self.ids = Some(CoreMetricIds::resolve(ctx.metrics()));
+        match &mut self.role {
+            Role::App(app) => app.fetch_and_schedule(ctx),
+            Role::Is(node) => {
+                for &(down, up) in &node.settings.crash_windows {
+                    ctx.schedule(down, CRASH_TIMER);
+                    ctx.schedule(up, RECOVER_TIMER);
+                }
+            }
+        }
+    }
+
+    fn on_message(&mut self, from: ActorId, msg: WorldMsg, ctx: &mut Ctx<'_, WorldMsg>) {
+        // Span profiling mirrors `feed_tap`'s placement: a message the
+        // receive guard rejects (crashed / stale epoch) does negligible
+        // work and records nothing, exactly as it feeds nothing.
+        let t0 = ctx.profiling().then(std::time::Instant::now);
+        let span = match &msg {
+            WorldMsg::Mcs(_) => SpanId::ProtocolStep,
+            _ => SpanId::Transport,
+        };
+        let record_span = |ctx: &mut Ctx<'_, WorldMsg>| {
+            if let Some(t0) = t0 {
+                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                ctx.record_span(span, ns);
+            }
+        };
+        let ids = self.ids();
+        let addr: &AddressBook = &self.addr;
+        match &mut self.role {
+            Role::App(app) => {
+                let WorldMsg::Mcs(m) = msg else {
+                    panic!("link message from actor {from} at an application node");
+                };
+                WorldSink { ctx, addr, ids }.deliver(&mut self.host, from, m, &mut NoUpcalls);
+                app.resume(&self.host, ctx);
+                record_span(ctx);
+                app.feed_tap(&self.host, ctx);
+            }
+            Role::Is(node) => {
+                let mut handler = IsHandler {
+                    host: &mut self.host,
+                    addr,
+                    ids,
+                    node,
+                };
+                if handler.on_message(from, msg, ctx) {
+                    record_span(ctx);
+                }
+            }
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, WorldMsg>) {
+        let ids = self.ids();
+        let addr: &AddressBook = &self.addr;
+        match &mut self.role {
+            Role::App(app) => {
+                if timer_parts(token) != (TIMER_CLASS_CONTROL, OP_TIMER) {
+                    unknown_timer(token);
+                }
+                let mut sink = WorldSink { ctx, addr, ids };
+                app.on_op_timer(&mut self.host, &mut sink);
+                app.feed_tap(&self.host, ctx);
+            }
+            Role::Is(node) => IsHandler {
+                host: &mut self.host,
+                addr,
+                ids,
+                node,
+            }
+            .on_timer(token, ctx),
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1460,7 +1451,18 @@ mod tests {
                 peer_actor: ActorId(3),
             }],
         );
-        WorldActor::new(host, Rc::new(book()), Some(isp))
+        WorldActor::is_node(
+            host,
+            Rc::new(book()),
+            isp,
+            vec![LinkState::new(None, true, 2)],
+            IsSettings {
+                batch_window: None,
+                crash_windows: Vec::new(),
+                n_vars: 2,
+                force_clocked: false,
+            },
+        )
     }
 
     #[test]

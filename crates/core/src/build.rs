@@ -35,7 +35,9 @@ use cmi_sim::tap::RunTap;
 use cmi_sim::{NetworkTag, RunLimit, RunOutcome, Sim, SimBuilder, TraceEntry, TrafficStats};
 use cmi_types::{OpRecord, ProcId, SimTime, SystemId};
 
-use crate::actor::{AddressBook, WorldActor, CRASH_TIMER, POKE_TIMER, RECOVER_TIMER};
+use crate::actor::{
+    AddressBook, IsSettings, LinkState, WorldActor, CRASH_TIMER, POKE_TIMER, RECOVER_TIMER,
+};
 use crate::isp::{IsProcess, IsVariant, LinkEnd};
 use crate::msg::WorldMsg;
 use crate::report::{FirstApplied, LinkTraffic, RunReport};
@@ -101,6 +103,16 @@ impl Layout {
     /// Total IS-process slots across the whole world.
     pub(crate) fn n_isps(&self) -> usize {
         self.isp_slots.iter().sum()
+    }
+}
+
+/// The links IS slot `slot` of a system with `incident` links serves:
+/// its own link under [`IsTopology::Pairwise`], all of them under
+/// [`IsTopology::Shared`].
+fn slot_links(topology: IsTopology, incident: &[usize], slot: usize) -> &[usize] {
+    match topology {
+        IsTopology::Pairwise => &incident[slot..=slot],
+        IsTopology::Shared => incident,
     }
 }
 
@@ -252,7 +264,9 @@ impl InterconnectBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildError`] for an empty world, empty systems,
-    /// unknown handles, self-links, duplicate links or cycles.
+    /// unknown handles, self-links, duplicate links, cycles, systems
+    /// past the process id space, or overlapping crash windows of one
+    /// IS-process.
     pub fn build(self, seed: u64) -> Result<World, BuildError> {
         let layout = self.layout()?;
         let all: Vec<usize> = (0..self.systems.len()).collect();
@@ -329,6 +343,18 @@ impl InterconnectBuilder {
                     is_slots: isp_slots[s],
                 });
             }
+            // One IS-process crashes on one schedule: the windows of
+            // every link end it serves must not overlap.
+            for slot in 0..isp_slots[s] {
+                let windows = self.crash_windows(s, slot_links(self.topology, &incident[s], slot));
+                if let Some(w) = windows.windows(2).find(|w| w[0].1 > w[1].0) {
+                    return Err(BuildError::OverlappingCrashWindows {
+                        system: s,
+                        first: w[0],
+                        second: w[1],
+                    });
+                }
+            }
         }
 
         // Dense global bases in system-major order.
@@ -355,6 +381,17 @@ impl InterconnectBuilder {
             n_links: self.links.len(),
             names: self.systems.iter().map(|s| s.name.clone()).collect(),
         })
+    }
+
+    /// The scripted crash windows of system `s`'s IS slot serving
+    /// `serving`, merged over those links' `s` ends and sorted.
+    fn crash_windows(&self, s: usize, serving: &[usize]) -> Vec<(Duration, Duration)> {
+        let mut windows = Vec::new();
+        for (a, _, l) in serving.iter().map(|&l| &self.links[l]) {
+            windows.extend_from_slice(if *a == s { &l.crash_a } else { &l.crash_b });
+        }
+        windows.sort();
+        windows
     }
 
     /// Partitions the systems into shard groups, each a union of
@@ -502,14 +539,12 @@ impl InterconnectBuilder {
             };
             for k in 0..total {
                 let host = NodeHost::new(spec.make_protocol(id, proc_index(k), total, self.n_vars));
-                let isp = if k >= spec.n_app_procs {
+                let actor = if k < spec.n_app_procs {
+                    WorldActor::app(host, Rc::clone(&addr))
+                } else {
                     // Which links does this IS slot serve?
-                    let serving: Vec<usize> = match self.topology {
-                        IsTopology::Pairwise => {
-                            vec![layout.incident[s][k - spec.n_app_procs]]
-                        }
-                        IsTopology::Shared => layout.incident[s].clone(),
-                    };
+                    let serving =
+                        slot_links(self.topology, &layout.incident[s], k - spec.n_app_procs);
                     let ends: Vec<LinkEnd> = serving
                         .iter()
                         .map(|&l| {
@@ -527,53 +562,30 @@ impl InterconnectBuilder {
                         .map(|&l| self.links[l].2.fault)
                         .find(|f| *f != crate::isp::IsFault::None)
                         .unwrap_or(crate::isp::IsFault::None);
-                    let batch = serving.iter().find_map(|&l| self.links[l].2.batch);
-                    let mut isp = IsProcess::new(variant, fault, ends);
-                    if let Some(window) = batch {
-                        isp = isp.with_batching(window);
-                    }
-                    Some((isp, serving))
-                } else {
-                    None
+                    // Links touching an initially-detached system start
+                    // inactive on BOTH ends.
+                    let links = serving
+                        .iter()
+                        .map(|&l| {
+                            let (la, lb, link) = &self.links[l];
+                            let active = !self.detached.contains(la) && !self.detached.contains(lb);
+                            LinkState::new(link.reliable, active, self.systems.len())
+                        })
+                        .collect();
+                    let settings = IsSettings {
+                        batch_window: serving.iter().find_map(|&l| self.links[l].2.batch),
+                        crash_windows: self.crash_windows(s, serving),
+                        n_vars: self.n_vars,
+                        force_clocked: self.force_clocked,
+                    };
+                    WorldActor::is_node(
+                        host,
+                        Rc::clone(&addr),
+                        IsProcess::new(variant, fault, ends),
+                        links,
+                        settings,
+                    )
                 };
-                let (isp, serving) = match isp {
-                    Some((isp, serving)) => (Some(isp), serving),
-                    None => (None, Vec::new()),
-                };
-                let mut actor = WorldActor::new(host, Rc::clone(&addr), isp);
-                actor.set_n_vars(self.n_vars);
-                actor.configure_meta(self.systems.len(), self.force_clocked);
-                // Links touching an initially-detached system start
-                // inactive on BOTH ends (no epoch bump: epoch 0 never
-                // carries traffic, the first attach moves both ends to 1).
-                for (j, &l) in serving.iter().enumerate() {
-                    let (la, lb, _) = &self.links[l];
-                    if self.detached.contains(la) || self.detached.contains(lb) {
-                        actor.preset_link_detached(j);
-                    }
-                }
-                if !serving.is_empty() {
-                    // Reliable transport per served link.
-                    let cfgs: Vec<_> = serving.iter().map(|&l| self.links[l].2.reliable).collect();
-                    if cfgs.iter().any(Option::is_some) {
-                        actor.configure_transports(cfgs);
-                    }
-                    // Crash windows for this side of each served link.
-                    let mut windows: Vec<(Duration, Duration)> = Vec::new();
-                    for &l in &serving {
-                        let (la, _, spec) = &self.links[l];
-                        let side = if *la == s {
-                            &spec.crash_a
-                        } else {
-                            &spec.crash_b
-                        };
-                        windows.extend_from_slice(side);
-                    }
-                    if !windows.is_empty() {
-                        windows.sort();
-                        actor.configure_crashes(windows, self.n_vars);
-                    }
-                }
                 b.add_actor(
                     Box::new(actor),
                     NetworkTag(u16::try_from(s).expect("system index fits u16")),
@@ -1455,6 +1467,45 @@ mod tests {
         b.link(c, d, LinkSpec::new(Duration::from_millis(1)));
         b.link(d, a, LinkSpec::new(Duration::from_millis(1)));
         assert_eq!(b.build(0).err(), Some(BuildError::CyclicTopology));
+    }
+
+    #[test]
+    fn overlapping_crash_windows_of_one_isp_fail() {
+        let ms = Duration::from_millis;
+        let world = |topology: IsTopology| {
+            let mut b = InterconnectBuilder::new().with_topology(topology);
+            let hub = b.add_system(spec("hub", 1));
+            for leaf in ["x", "y"] {
+                let h = b.add_system(spec(leaf, 1));
+                let window = if leaf == "x" {
+                    (ms(50), ms(150))
+                } else {
+                    (ms(100), ms(200))
+                };
+                b.link(hub, h, LinkSpec::new(ms(3)).with_crash_at_a(&[window]));
+            }
+            b.build(0).err()
+        };
+        // Pairwise: one IS-process per link end, each on its own schedule.
+        assert_eq!(world(IsTopology::Pairwise), None);
+        // Shared: the hub's one IS-process would crash twice at once.
+        assert_eq!(
+            world(IsTopology::Shared),
+            Some(BuildError::OverlappingCrashWindows {
+                system: 0,
+                first: (ms(50), ms(150)),
+                second: (ms(100), ms(200)),
+            })
+        );
+        // The same overlap on one link end fails under either topology.
+        let mut b = InterconnectBuilder::new();
+        let (a, c) = (b.add_system(spec("a", 1)), b.add_system(spec("c", 1)));
+        let windows = [(ms(10), ms(30)), (ms(20), ms(40))];
+        b.link(a, c, LinkSpec::new(ms(3)).with_crash(&windows));
+        assert!(matches!(
+            b.build(0).err(),
+            Some(BuildError::OverlappingCrashWindows { system: 1, .. })
+        ));
     }
 
     #[test]

@@ -116,12 +116,6 @@ pub struct IsProcess {
     /// [`UpcallHandler::own_write_applied`] fires, keeping transmission
     /// in replica-update order even for ordering (blocking) protocols.
     awaiting_apply: VecDeque<(usize, VarId, Value)>,
-    /// X14 batching optimization: when set, outgoing pairs accumulate
-    /// per link and are flushed as one `LinkBatch` message per window
-    /// (in order — Lemma 1's send order is preserved, only delayed).
-    batch_window: Option<Duration>,
-    /// Per-link accumulation buffers (parallel to `links`).
-    batch_queues: Vec<Vec<(VarId, Value)>>,
     /// Everything ever sent, for Lemma 1 trace checks.
     sent_log: Vec<SentPair>,
 }
@@ -130,7 +124,6 @@ impl IsProcess {
     /// Creates an IS-process running `variant` over `links`.
     pub fn new(variant: IsVariant, fault: IsFault, links: Vec<LinkEnd>) -> Self {
         assert!(!links.is_empty(), "an IS-process needs at least one link");
-        let n_links = links.len();
         IsProcess {
             variant,
             fault,
@@ -139,42 +132,8 @@ impl IsProcess {
             reorder_stash: Vec::new(),
             pending_in: VecDeque::new(),
             awaiting_apply: VecDeque::new(),
-            batch_window: None,
-            batch_queues: vec![Vec::new(); n_links],
             sent_log: Vec::new(),
         }
-    }
-
-    /// Enables X14 batching with the given flush window.
-    pub fn with_batching(mut self, window: Duration) -> Self {
-        self.batch_window = Some(window);
-        self
-    }
-
-    /// The batching window, if batching is enabled.
-    pub fn batch_window(&self) -> Option<Duration> {
-        self.batch_window
-    }
-
-    /// Queues a pair for batched transmission on link `link`.
-    pub fn enqueue_batch(&mut self, link: usize, var: VarId, val: Value) {
-        debug_assert!(self.batch_window.is_some());
-        self.batch_queues[link].push((var, val));
-    }
-
-    /// Drains the accumulated batch of link `link`.
-    pub fn take_batch(&mut self, link: usize) -> Vec<(VarId, Value)> {
-        std::mem::take(&mut self.batch_queues[link])
-    }
-
-    /// `true` if any link has pairs waiting for the next batch flush.
-    pub fn batches_pending(&self) -> bool {
-        self.batch_queues.iter().any(|q| !q.is_empty())
-    }
-
-    /// The protocol variant in use.
-    pub fn variant(&self) -> IsVariant {
-        self.variant
     }
 
     /// The injected fault.
@@ -231,11 +190,6 @@ impl IsProcess {
     /// Pops the next deferred incoming pair.
     pub fn next_deferred(&mut self) -> Option<(usize, VarId, Value)> {
         self.pending_in.pop_front()
-    }
-
-    /// Number of deferred incoming pairs (dial-up experiment metric).
-    pub fn deferred_len(&self) -> usize {
-        self.pending_in.len()
     }
 
     /// Records a transmitted pair.
@@ -396,7 +350,6 @@ mod tests {
         let b = pair(2).val;
         isp.defer_incoming(0, v, a);
         isp.defer_incoming(0, v, b);
-        assert_eq!(isp.deferred_len(), 2);
         assert_eq!(isp.next_deferred(), Some((0, v, a)));
         assert_eq!(isp.next_deferred(), Some((0, v, b)));
         assert_eq!(isp.next_deferred(), None);

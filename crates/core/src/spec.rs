@@ -275,6 +275,16 @@ pub enum BuildError {
         /// Its IS-process slots (one per incident link, or one shared).
         is_slots: usize,
     },
+    /// Two scripted crash windows of one IS-process overlap — on one
+    /// link end, or on two links one shared IS-process serves.
+    OverlappingCrashWindows {
+        /// The system hosting the IS-process.
+        system: usize,
+        /// The earlier window, `(down_at, up_at)`.
+        first: (Duration, Duration),
+        /// The later window, which starts before `first` ends.
+        second: (Duration, Duration),
+    },
 }
 
 /// Processes one system can hold: a `ProcId`'s index within its system
@@ -304,6 +314,16 @@ impl fmt::Display for BuildError {
                 f,
                 "system #{system}: processes ({processes}) plus IS slots ({is_slots}) \
                  must be at most {MAX_SYSTEM_PROCS}"
+            ),
+            BuildError::OverlappingCrashWindows {
+                system,
+                first,
+                second,
+            } => write!(
+                f,
+                "system #{system}: IS-process crash windows {:?}..{:?} and {:?}..{:?} \
+                 overlap (one IS-process crashes on one ordered, disjoint schedule)",
+                first.0, first.1, second.0, second.1
             ),
         }
     }
