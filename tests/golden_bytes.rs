@@ -11,7 +11,8 @@
 //! the sharded engine), every file under `crates/cli/scenarios/`, and a
 //! table of link shapes no benchmark runs (raw links under membership
 //! churn and crashes, batching, lossy lineage, a mixed shared hub),
-//! each of which also proves through a counter that its actor arm fired.
+//! each of which also proves through a counter that its actor arm fired,
+//! and two rows that between them set every scenario field.
 //!
 //! The path is the CLI's and the benchmark harness's: scenario text →
 //! `Scenario::from_json` → `validate` → build + run (`Scenario::run` /
@@ -419,6 +420,86 @@ const GOLDEN_ARM_SHAPES_RENDERED: &[(&str, u64)] = &[
     ("shared_mixed", 0xfe82a222f933d544),
 ];
 
+/// Every scenario field away from its default, in two rows: explicit
+/// `systems`/`links` carrying every optional block, and a generated
+/// `topology_spec` shape (the two exclude each other). The `--json`
+/// artifact embeds the parsed scenario, so these rows pin the scenario
+/// decoder and encoder field by field.
+const SCHEMA_SHAPES: &[(&str, &str)] = &[
+    (
+        "every_field",
+        r#"{
+  "seed": 21,
+  "vars": 5,
+  "topology": "shared",
+  "systems": [
+    { "name": "A", "protocol": "ahamad", "processes": 2, "intra_delay_ms": 2 },
+    { "name": "B", "protocol": "frontier", "processes": 2, "intra_delay_ms": 3 },
+    { "name": "C", "protocol": "ahamad", "processes": 2 }
+  ],
+  "links": [
+    { "a": 0, "b": 1, "delay_ms": 4, "jitter_ms": 2, "batch_ms": 3,
+      "faults": { "drop": 0.1, "duplicate": 0.05, "reorder": 0.2, "reorder_window_ms": 6, "corrupt": 0.05 },
+      "reliable": { "rto_ms": 25, "max_retries": 40, "max_queue": 64, "degraded_after_ms": 300 },
+      "crash": { "side": "a", "windows": [ { "down_ms": 30, "up_ms": 60 } ] } },
+    { "a": 1, "b": 2, "delay_ms": 5, "dialup": { "period_ms": 40, "up_ms": 15 } }
+  ],
+  "workload": { "ops_per_proc": 12, "write_fraction": 0.6, "mean_gap_ms": 3 },
+  "checks": ["causal", "pram"],
+  "trace": true,
+  "lineage": true,
+  "monitor": true,
+  "chaos": {
+    "seed": 99,
+    "horizon_ms": 80,
+    "partitions": { "count": 1, "min_ms": 5, "max_ms": 15 },
+    "crashes": { "count": 1, "min_ms": 5, "max_ms": 10 },
+    "churn": { "count": 1, "min_ms": 5, "max_ms": 10 }
+  },
+  "membership": {
+    "start_detached": [2],
+    "events": [ { "at_ms": 20, "op": "attach", "system": 2 } ]
+  },
+  "telemetry": {
+    "every_ms": 3,
+    "capacity": 64,
+    "watchdogs": [ { "metric": "isp.retransmits", "kind": "below", "limit": 2.5 } ]
+  }
+}"#,
+    ),
+    (
+        "every_spec_field",
+        r#"{
+  "seed": 22,
+  "vars": 3,
+  "topology": "shared",
+  "topology_spec": {
+    "shape": "tree",
+    "systems": 7,
+    "fanout": 3,
+    "protocol": "frontier",
+    "processes": 2,
+    "delay_ms": 3,
+    "reliable": { "rto_ms": 45, "max_retries": 12, "max_queue": 32, "degraded_after_ms": 200 }
+  },
+  "workload": { "ops_per_proc": 4, "write_fraction": 0.7, "mean_gap_ms": 2 },
+  "checks": ["causal", "sequential"]
+}"#,
+    ),
+];
+
+/// Digests of [`SCHEMA_SHAPES`].
+const GOLDEN_SCHEMA_SHAPES: &[(&str, u64)] = &[
+    ("every_field", 0x6f70111bce47d553),
+    ("every_spec_field", 0x7608d7cf28cc801d),
+];
+
+/// Rendered-text digests of [`SCHEMA_SHAPES`].
+const GOLDEN_SCHEMA_SHAPES_RENDERED: &[(&str, u64)] = &[
+    ("every_field", 0xaf57daedc949efc3),
+    ("every_spec_field", 0x2764c736e3ff1989),
+];
+
 /// `(name, digest)` rows, as `assert_golden` compares them.
 type Rows = Vec<(String, u64)>;
 
@@ -503,6 +584,21 @@ fn actor_arm_shapes_keep_their_report_bytes() {
     assert_golden(
         "GOLDEN_ARM_SHAPES_RENDERED",
         GOLDEN_ARM_SHAPES_RENDERED,
+        &rendered,
+    );
+}
+
+#[test]
+fn schema_shapes_keep_their_report_bytes() {
+    let runs: Vec<(&str, Artifacts)> = SCHEMA_SHAPES
+        .iter()
+        .map(|&(name, text)| (name, artifacts(text, None)))
+        .collect();
+    let (json, rendered) = digests(&runs);
+    assert_golden("GOLDEN_SCHEMA_SHAPES", GOLDEN_SCHEMA_SHAPES, &json);
+    assert_golden(
+        "GOLDEN_SCHEMA_SHAPES_RENDERED",
+        GOLDEN_SCHEMA_SHAPES_RENDERED,
         &rendered,
     );
 }
