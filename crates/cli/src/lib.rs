@@ -5,6 +5,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+pub mod schema;
+
 pub mod report;
 pub mod scenario;
 

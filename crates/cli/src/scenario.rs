@@ -28,17 +28,20 @@
 //! }
 //! ```
 //!
-//! [`Scenario::validate`] rejects, one line naming the field, every
-//! number the simulator cannot represent: a `*_ms` field above 2^32 ms
-//! (and a workload whose `ops_per_proc × mean_gap_ms` exceeds that), a
-//! zero dial-up period or up window, a probability outside [0, 1].
+//! Every field is declared once, in the `schema!` table below: its type,
+//! its bound, its default and its doc line. Decoding, encoding, the
+//! per-field checks of [`Scenario::validate`] and the README's field
+//! reference all derive from that table (see [`crate::schema`]). A
+//! misspelled member, a value of the wrong type and a number outside its
+//! field's bound are each one error naming the field; only the rules
+//! that relate two fields are written out by hand, in `validate`.
 
 use std::fmt;
 use std::time::Duration;
 
 use cmi_core::{
     parse_topology, BuildError, InterconnectBuilder, IsTopology, LinkSpec, ReliableConfig,
-    RunReport, SystemSpec, TopologySpec, World,
+    RunReport, SystemSpec, TopologySpec, World, MAX_SYSTEM_PROCS,
 };
 use cmi_memory::{ProtocolKind, WorkloadSpec};
 use cmi_obs::{Json, TelemetryConfig, ToJson, WatchKind, WatchdogSpec};
@@ -46,6 +49,8 @@ use cmi_sim::{
     sort_schedule, Availability, ChannelSpec, ChaosEvent, ChaosEventKind, ChaosSpec, FaultSpec,
 };
 use cmi_types::SimTime;
+
+use crate::schema::{Kind, Value};
 
 /// Errors loading or validating a scenario.
 #[derive(Debug)]
@@ -76,159 +81,225 @@ impl From<BuildError> for ScenarioError {
     }
 }
 
-/// One system in a scenario file.
-#[derive(Debug, Clone)]
-pub struct SystemEntry {
-    /// Display name.
-    pub name: String,
-    /// Protocol: `ahamad` | `frontier` | `sequencer` | `eager-fifo` |
-    /// `var-seq`.
-    pub protocol: String,
-    /// Application process count.
-    pub processes: usize,
-    /// Intra-system mesh delay (default 1 ms).
-    pub intra_delay_ms: u64,
+/// Largest value any `*_ms` field may take: 2^32 ms, about 50 days.
+/// Virtual time is a `u64` of nanoseconds, about 4295 × 2^32 ms, so
+/// every instant the engine forms from a bounded number of these fields
+/// stays far from overflow: a link delay plus its jitter and reorder
+/// window, a dial-up period, a retransmission timeout backed off 64×
+/// plus 10 % jitter (about 70 limits), a chaos window's start plus its
+/// length. The workload's own horizon, `ops_per_proc × mean_gap_ms`,
+/// is held to the same limit.
+const MAX_MS: u64 = 1 << 32;
+
+/// Virtual milliseconds.
+const MS: Kind = Kind::int(false, MAX_MS, "ms");
+/// A positive span of virtual milliseconds.
+const POSITIVE_MS: Kind = Kind::int(true, MAX_MS, "ms");
+/// Protocol names, in [`PROTOCOL_KINDS`] order.
+const PROTOCOLS: &[&str] = &[
+    "ahamad",
+    "frontier",
+    "sequencer",
+    "atomic",
+    "eager-fifo",
+    "var-seq",
+];
+const PROTOCOL_KINDS: [ProtocolKind; 6] = [
+    ProtocolKind::Ahamad,
+    ProtocolKind::Frontier,
+    ProtocolKind::Sequencer,
+    ProtocolKind::Atomic,
+    ProtocolKind::EagerFifo,
+    ProtocolKind::VarSeq,
+];
+const PROTOCOL: Kind = Kind::Str(PROTOCOLS);
+
+schema! {
+    /// A full scenario.
+    #[derive(Debug, Clone)]
+    pub struct Scenario {
+        seed: u64 = 0 => "World seed: a run is a pure function of the scenario and its seed.";
+        vars: usize [Kind::int(true, 4096, "")] = 4 => "Shared variables, at most 4096: \
+            every replica holds one slot per variable and a resync re-sends them all.";
+        topology: Option<String> [Kind::Str(&["pairwise", "shared"])] = None
+            => "IS-process allocation; absent means `pairwise`.";
+        systems: Vec<SystemEntry> = Vec::new()
+            => "Systems to interconnect; empty exactly when `topology_spec` is set.";
+        links: Vec<LinkEntry> = Vec::new() => "Tree links between `systems`.";
+        workload: WorkloadEntry => "What every application process does.";
+        checks: Vec<String>
+            [Kind::Str(&["causal", "sequential", "pram", "cache", "linearizable", "session"])]
+            = vec!["causal".into()] => "Consistency checks run on every history.";
+        trace: bool = false => "Record the simulator trace.";
+        lineage: bool = false
+            => "Record each update's lifecycle across the interconnection (a Chrome trace).";
+        monitor: bool = false
+            => "Check causality online, during the run, and alert on the first violation.";
+        topology_spec: Option<TopologyEntry> = None
+            => "Generated shape replacing `systems` and `links`." omit;
+        chaos: Option<ChaosEntry> = None
+            => "Seeded schedule of partitions, crashes and detach/attach churn." omit;
+        membership: Option<MembershipEntry> = None
+            => "Systems that start detached, and scripted attach/detach events." omit;
+        telemetry: Option<TelemetryEntry> = None
+            => "Flight-recorder sampling of the metric registry, with watchdogs." omit;
+    }
+
+    /// One system in a scenario file.
+    #[derive(Debug, Clone)]
+    pub struct SystemEntry {
+        name: String => "Display name.";
+        protocol: String [PROTOCOL] => "MCS protocol run by every process of the system.";
+        processes: usize [Kind::int(false, MAX_SYSTEM_PROCS as u64, "")]
+            => "Application processes; a `ProcId` numbers them by a `u16`.";
+        intra_delay_ms: u64 [MS] = 1 => "Delay of the system's own message mesh.";
+    }
+
+    /// One link in a scenario file (indices into `systems`).
+    #[derive(Debug, Clone)]
+    pub struct LinkEntry {
+        a: usize => "First system (index into `systems`).";
+        b: usize => "Second system (index into `systems`).";
+        delay_ms: u64 [MS] = 0 => "Base delay.";
+        jitter_ms: u64 [MS] = 0 => "Uniform jitter bound; FIFO order is kept.";
+        dialup: Option<DialupEntry> = None => "Dial-up availability: up for a window each period.";
+        batch_ms: Option<u64> [MS] = None => "Batching window: pairs are flushed once per window.";
+        faults: Option<FaultsEntry> = None => "Probabilistic faults of the link's channel.";
+        reliable: Option<ReliableEntry> = None => "Reliable framed transport over the channel.";
+        crash: Option<CrashEntry> = None => "Scripted crash schedule of one end's IS-process.";
+    }
+
+    /// Dial-up availability window of a link.
+    #[derive(Debug, Clone, Copy)]
+    pub struct DialupEntry {
+        period_ms: u64 [POSITIVE_MS] => "Full period.";
+        up_ms: u64 [POSITIVE_MS] => "Up time at the start of each period.";
+    }
+
+    /// Probabilistic fault rates of a link's channel.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct FaultsEntry {
+        drop: f64 [Kind::Probability] = 0.0 => "Per-message drop probability.";
+        duplicate: f64 [Kind::Probability] = 0.0 => "Per-message duplication probability.";
+        reorder: f64 [Kind::Probability] = 0.0 => "Per-message reordering probability.";
+        reorder_window_ms: u64 [MS] = 20 => "Extra delay bound of a reordered message.";
+        corrupt: f64 [Kind::Probability] = 0.0 => "Per-message corruption probability.";
+    }
+
+    /// Reliable-transport sublayer settings of a link.
+    #[derive(Debug, Clone, Copy)]
+    pub struct ReliableEntry {
+        rto_ms: u64 [POSITIVE_MS] = 100 => "Base retransmission timeout.";
+        max_retries: u32 = 10 => "Retransmissions before a frame is abandoned.";
+        max_queue: usize [Kind::int(true, u64::MAX, "")] = 1024
+            => "Send-queue bound before degraded coalescing.";
+        degraded_after_ms: u64 [MS] = 500 => "Head-of-queue age that triggers degraded mode.";
+    }
+
+    /// Scripted IS-process crash schedule of a link end.
+    #[derive(Debug, Clone)]
+    pub struct CrashEntry {
+        side: String [Kind::Str(&["a", "b"])] = "b".into() => "Which end crashes.";
+        windows: Vec<CrashWindowEntry> => "Outage windows, ordered and disjoint.";
+    }
+
+    /// One outage of a crash schedule.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CrashWindowEntry {
+        down_ms: u64 [MS] => "Instant the IS-process crashes.";
+        up_ms: u64 [MS] => "Instant it recovers, after `down_ms`.";
+    }
+
+    /// Generated-topology section: one named shape expanded into
+    /// `systems` uniform systems (named `S0`, `S1`, …) and the
+    /// `systems − 1` tree links, in place of the `systems`/`links` arrays.
+    ///
+    /// ```json
+    /// { "topology_spec": { "shape": "hub_of_hubs", "systems": 64, "fanout": 8 } }
+    /// ```
+    #[derive(Debug, Clone)]
+    pub struct TopologyEntry {
+        shape: String => "`chain`, `star`, `tree` or `hub_of_hubs`.";
+        systems: usize [Kind::int(false, 1 << 16, "")]
+            => "System count, at most 65536: a `SystemId` is a `u16`.";
+        fanout: Option<usize> = None
+            => "Children per node (`tree`) or leaves per mid hub (`hub_of_hubs`); 4 if absent.";
+        protocol: String [PROTOCOL] = "ahamad".into() => "Protocol of every system.";
+        processes: usize [Kind::int(true, MAX_SYSTEM_PROCS as u64, "")] = 1
+            => "Application processes per system.";
+        delay_ms: u64 [MS] = 2 => "Delay of every link.";
+        reliable: Option<ReliableEntry> = None => "Reliable framed transport on every link.";
+    }
+
+    /// Workload section.
+    #[derive(Debug, Clone, Copy)]
+    pub struct WorkloadEntry {
+        ops_per_proc: u32 => "Operations per application process.";
+        write_fraction: f64 [Kind::Probability] = 0.5 => "Fraction of operations that write.";
+        mean_gap_ms: u64 [MS] = 5 => "Mean think time between operations.";
+    }
+
+    /// Seeded chaos block: compiled into a deterministic schedule of
+    /// partition/heal, crash/recover and detach/attach events.
+    #[derive(Debug, Clone)]
+    pub struct ChaosEntry {
+        seed: Option<u64> = None => "Schedule seed; the scenario's seed if absent.";
+        horizon_ms: u64 [POSITIVE_MS] => "Window starts are drawn from `[0, horizon_ms)`.";
+        partitions: Option<ChaosRateEntry> = None => "Partition/heal windows over the links.";
+        crashes: Option<ChaosRateEntry> = None => "Crash/recover windows over the IS-processes.";
+        churn: Option<ChaosRateEntry> = None => "Detach/attach cycles over the linked systems.";
+    }
+
+    /// One rate block of a chaos schedule: `count` windows, each lasting
+    /// `min_ms..=max_ms` virtual milliseconds.
+    #[derive(Debug, Clone, Copy)]
+    pub struct ChaosRateEntry {
+        count: u32 [Kind::int(false, 1 << 16, "")] => "Windows to draw, at most 65536: \
+            all are drawn and held before overlapping ones are pruned.";
+        min_ms: u64 [MS] = 0 => "Shortest window.";
+        max_ms: u64 [MS] = 0 => "Longest window.";
+    }
+
+    /// Membership block: systems that start outside the interconnection
+    /// plus scripted attach/detach events.
+    #[derive(Debug, Clone)]
+    pub struct MembershipEntry {
+        start_detached: Vec<usize> = Vec::new()
+            => "Systems built detached: their links carry nothing in epoch 0.";
+        events: Vec<MembershipEventEntry> = Vec::new()
+            => "Scripted events, merged with any compiled chaos.";
+    }
+
+    /// One scripted membership event.
+    #[derive(Debug, Clone)]
+    pub struct MembershipEventEntry {
+        at_ms: u64 [MS] => "Virtual instant of the event.";
+        op: String [Kind::Str(&["attach", "detach"])] => "What happens to the system.";
+        system: usize => "Target system index.";
+    }
+
+    /// Telemetry block: flight-recorder sampling of the metric registry
+    /// at a virtual-time cadence, with optional health watchdogs.
+    #[derive(Debug, Clone)]
+    pub struct TelemetryEntry {
+        every_ms: u64 [POSITIVE_MS] = 1 => "Sampling cadence.";
+        capacity: Option<u64> = None => "Samples kept before downsampling; 4096 if absent.";
+        watchdogs: Vec<WatchdogEntry> = Vec::new() => "Health watchdogs tested at every sample.";
+    }
+
+    /// One declarative health watchdog of a telemetry block.
+    #[derive(Debug, Clone)]
+    pub struct WatchdogEntry {
+        metric: String => "Watched registry metric (counter or gauge).";
+        kind: String [Kind::Str(&["above", "below", "rate_above"])] => "Test applied to it.";
+        limit: f64 => "Threshold; for `rate_above`, per virtual second.";
+    }
 }
 
-/// Dial-up availability window of a link.
-#[derive(Debug, Clone, Copy)]
-pub struct DialupEntry {
-    /// Full period.
-    pub period_ms: u64,
-    /// Up time at the start of each period.
-    pub up_ms: u64,
-}
-
-/// Probabilistic fault rates of a link's channel (all default 0).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultsEntry {
-    /// Per-message drop probability.
-    pub drop: f64,
-    /// Per-message duplication probability.
-    pub duplicate: f64,
-    /// Per-message reordering probability.
-    pub reorder: f64,
-    /// Extra delay bound for reordered messages.
-    pub reorder_window_ms: u64,
-    /// Per-message corruption probability.
-    pub corrupt: f64,
-}
-
-/// Reliable-transport sublayer settings of a link.
-#[derive(Debug, Clone, Copy)]
-pub struct ReliableEntry {
-    /// Base retransmission timeout (default 100 ms).
-    pub rto_ms: u64,
-    /// Retry cap before a frame is abandoned (default 10).
-    pub max_retries: u32,
-    /// Send-queue bound before degraded coalescing (default 1024).
-    pub max_queue: usize,
-    /// Head-of-queue age that triggers degraded mode (default 500 ms).
-    pub degraded_after_ms: u64,
-}
-
-/// Scripted IS-process crash schedule of a link end.
-#[derive(Debug, Clone)]
-pub struct CrashEntry {
-    /// Which end crashes: `"a"` or `"b"` (default `"b"`).
-    pub side: String,
-    /// `(down_ms, up_ms)` outage windows, ordered and disjoint.
-    pub windows: Vec<(u64, u64)>,
-}
-
-/// One link in a scenario file (indices into `systems`).
-#[derive(Debug, Clone)]
-pub struct LinkEntry {
-    /// First system index.
-    pub a: usize,
-    /// Second system index.
-    pub b: usize,
-    /// Base delay.
-    pub delay_ms: u64,
-    /// Uniform jitter bound (FIFO preserved).
-    pub jitter_ms: u64,
-    /// Optional dial-up schedule.
-    pub dialup: Option<DialupEntry>,
-    /// Optional X14 batching window (pairs per flush).
-    pub batch_ms: Option<u64>,
-    /// Optional fault injection on the channel.
-    pub faults: Option<FaultsEntry>,
-    /// Optional reliable-transport sublayer.
-    pub reliable: Option<ReliableEntry>,
-    /// Optional scripted IS-process crash schedule.
-    pub crash: Option<CrashEntry>,
-}
-
-/// One rate block of a chaos schedule: `count` windows, each lasting
-/// `min_ms..=max_ms` virtual milliseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosRateEntry {
-    /// Windows to attempt (overlapping draws on one target are pruned).
-    pub count: u32,
-    /// Shortest window.
-    pub min_ms: u64,
-    /// Longest window.
-    pub max_ms: u64,
-}
-
-/// Seeded chaos block: compiled into a deterministic schedule of
-/// partition/heal, crash/recover and detach/attach events.
-#[derive(Debug, Clone)]
-pub struct ChaosEntry {
-    /// Schedule seed (defaults to the scenario seed).
-    pub seed: Option<u64>,
-    /// Window starts are drawn from `[0, horizon_ms)`.
-    pub horizon_ms: u64,
-    /// Partition→heal windows over the inter-system links.
-    pub partitions: Option<ChaosRateEntry>,
-    /// Crash→recover windows over the IS-processes.
-    pub crashes: Option<ChaosRateEntry>,
-    /// Detach→attach churn cycles over the linked systems.
-    pub churn: Option<ChaosRateEntry>,
-}
-
-/// One scripted membership event.
-#[derive(Debug, Clone)]
-pub struct MembershipEventEntry {
-    /// Virtual instant of the event.
-    pub at_ms: u64,
-    /// `"attach"` or `"detach"`.
-    pub op: String,
-    /// Target system index.
-    pub system: usize,
-}
-
-/// Membership block: systems that start outside the interconnection
-/// plus scripted attach/detach events.
-#[derive(Debug, Clone)]
-pub struct MembershipEntry {
-    /// Systems built detached (their links carry no traffic in epoch 0).
-    pub start_detached: Vec<usize>,
-    /// Scripted membership events, merged with any compiled chaos.
-    pub events: Vec<MembershipEventEntry>,
-}
-
-/// One declarative health watchdog of a telemetry block.
-#[derive(Debug, Clone)]
-pub struct WatchdogEntry {
-    /// Watched registry metric (counter or gauge) by name.
-    pub metric: String,
-    /// `"above"` | `"below"` | `"rate_above"`.
-    pub kind: String,
-    /// Threshold (for `rate_above`: per virtual second).
-    pub limit: f64,
-}
-
-/// Telemetry block: flight-recorder sampling of the metric registry at
-/// a virtual-time cadence, with optional health watchdogs.
-#[derive(Debug, Clone)]
-pub struct TelemetryEntry {
-    /// Sampling cadence in virtual milliseconds (default 1).
-    pub every_ms: u64,
-    /// Ring capacity before downsampling (default 4096).
-    pub capacity: Option<u64>,
-    /// Health watchdogs evaluated at every sample.
-    pub watchdogs: Vec<WatchdogEntry>,
+impl ToJson for Scenario {
+    fn to_json(&self) -> Json {
+        self.encode()
+    }
 }
 
 impl TelemetryEntry {
@@ -247,188 +318,7 @@ impl TelemetryEntry {
     }
 }
 
-/// Generated-topology section: one named shape expanded into `systems`
-/// uniform systems and the `systems − 1` tree links, replacing the
-/// hand-written `systems`/`links` arrays (mutually exclusive with
-/// both). Generated systems are named `S0`, `S1`, ….
-///
-/// ```json
-/// { "topology_spec": { "shape": "hub_of_hubs", "systems": 64, "fanout": 8 } }
-/// ```
-#[derive(Debug, Clone)]
-pub struct TopologyEntry {
-    /// Shape: `chain` | `star` | `tree` | `hub_of_hubs`.
-    pub shape: String,
-    /// System count `m` (≥ 1).
-    pub systems: usize,
-    /// Children per node (`tree`) / leaves per mid-tier hub
-    /// (`hub_of_hubs`); default 4, rejected for `chain`/`star`.
-    pub fanout: Option<usize>,
-    /// Protocol of every generated system (default `ahamad`).
-    pub protocol: String,
-    /// Application processes per system (default 1).
-    pub processes: usize,
-    /// Fixed inter-system link delay in ms (default 2).
-    pub delay_ms: u64,
-    /// Reliable framed transport on every generated link (default
-    /// plain channels).
-    pub reliable: Option<ReliableEntry>,
-}
-
-/// Workload section.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadEntry {
-    /// Operations per application process.
-    pub ops_per_proc: u32,
-    /// Fraction of writes (default 0.5).
-    pub write_fraction: f64,
-    /// Mean think time (default 5 ms).
-    pub mean_gap_ms: u64,
-}
-
-/// A full scenario.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// World seed (determinism; default 0).
-    pub seed: u64,
-    /// Shared variable count (default 4).
-    pub vars: usize,
-    /// `pairwise` (default) or `shared` IS allocation.
-    pub topology: Option<String>,
-    /// Generated shape replacing `systems`/`links` (default none).
-    pub topology_spec: Option<TopologyEntry>,
-    /// Systems to interconnect (empty iff `topology_spec` is set).
-    pub systems: Vec<SystemEntry>,
-    /// Tree links between them.
-    pub links: Vec<LinkEntry>,
-    /// Workload to run.
-    pub workload: WorkloadEntry,
-    /// Checks: any of `causal`, `sequential`, `pram`, `cache`,
-    /// `linearizable`, `session` (default: `causal`).
-    pub checks: Vec<String>,
-    /// Record the simulator trace (default off).
-    pub trace: bool,
-    /// Record causal lineage — the per-update lifecycle across the
-    /// interconnection, exportable as a Chrome trace (default off).
-    pub lineage: bool,
-    /// Run the online causal monitor: incremental checking during the
-    /// run, first-violation alerting, live health metrics (default off).
-    pub monitor: bool,
-    /// Seeded chaos schedule (default none).
-    pub chaos: Option<ChaosEntry>,
-    /// Membership: initial detachment and scripted attach/detach
-    /// events (default none).
-    pub membership: Option<MembershipEntry>,
-    /// Flight-recorder telemetry: sampling cadence, ring capacity and
-    /// health watchdogs (default none).
-    pub telemetry: Option<TelemetryEntry>,
-}
-
-/// Largest value any `*_ms` field may take: 2^32 ms, about 50 days.
-/// Virtual time is a `u64` of nanoseconds, about 4295 × 2^32 ms, so
-/// every instant the engine forms from a bounded number of these fields
-/// stays far from overflow: a link delay plus its jitter and reorder
-/// window, a dial-up period, a retransmission timeout backed off 64×
-/// plus 10 % jitter (about 70 limits), a chaos window's start plus its
-/// length. The workload's own horizon, `ops_per_proc × mean_gap_ms`,
-/// is held to the same limit.
-const MAX_MS: u64 = 1 << 32;
-
-// ---- decoding helpers over the in-tree JSON model ----------------------
-
-fn parse_err(msg: impl Into<String>) -> ScenarioError {
-    ScenarioError::Parse(msg.into())
-}
-
-/// A required member, with the owning object named in errors.
-fn need<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, ScenarioError> {
-    v.get(key)
-        .ok_or_else(|| parse_err(format!("{ctx}: missing field {key:?}")))
-}
-
-fn get_u64(v: &Json, key: &str, ctx: &str, default: u64) -> Result<u64, ScenarioError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(m) => m
-            .as_u64()
-            .ok_or_else(|| parse_err(format!("{ctx}: {key} must be a non-negative integer"))),
-    }
-}
-
-fn get_f64(v: &Json, key: &str, ctx: &str, default: f64) -> Result<f64, ScenarioError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(m) => m
-            .as_f64()
-            .ok_or_else(|| parse_err(format!("{ctx}: {key} must be a number"))),
-    }
-}
-
-fn get_bool(v: &Json, key: &str, ctx: &str, default: bool) -> Result<bool, ScenarioError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(m) => m
-            .as_bool()
-            .ok_or_else(|| parse_err(format!("{ctx}: {key} must be a boolean"))),
-    }
-}
-
-fn as_string(v: &Json, ctx: &str) -> Result<String, ScenarioError> {
-    v.as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| parse_err(format!("{ctx} must be a string")))
-}
-
-/// Strict-schema guard for the chaos/membership blocks: any field not
-/// in `allowed` is rejected by name, so a typo (`"horizonms"`) fails
-/// loudly instead of silently falling back to a default.
-fn reject_unknown_fields(v: &Json, ctx: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
-    let members = v
-        .as_object()
-        .ok_or_else(|| parse_err(format!("{ctx} must be an object")))?;
-    for (key, _) in members {
-        if !allowed.contains(&key.as_str()) {
-            return Err(parse_err(format!(
-                "{ctx}: unknown field {key:?} (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-impl SystemEntry {
-    fn decode(v: &Json, i: usize) -> Result<Self, ScenarioError> {
-        let ctx = format!("systems[{i}]");
-        Ok(SystemEntry {
-            name: as_string(need(v, "name", &ctx)?, &format!("{ctx}.name"))?,
-            protocol: as_string(need(v, "protocol", &ctx)?, &format!("{ctx}.protocol"))?,
-            processes: need(v, "processes", &ctx)?
-                .as_u64()
-                .ok_or_else(|| parse_err(format!("{ctx}.processes must be an integer")))?
-                as usize,
-            intra_delay_ms: get_u64(v, "intra_delay_ms", &ctx, 1)?,
-        })
-    }
-}
-
 impl ReliableEntry {
-    /// Decodes an optional `reliable` sub-object of `owner`.
-    fn decode_opt(owner: &Json, ctx: &str) -> Result<Option<Self>, ScenarioError> {
-        match owner.get("reliable") {
-            None | Some(Json::Null) => Ok(None),
-            Some(r) => {
-                let rctx = format!("{ctx}.reliable");
-                Ok(Some(ReliableEntry {
-                    rto_ms: get_u64(r, "rto_ms", &rctx, 100)?,
-                    max_retries: get_u64(r, "max_retries", &rctx, 10)? as u32,
-                    max_queue: get_u64(r, "max_queue", &rctx, 1024)? as usize,
-                    degraded_after_ms: get_u64(r, "degraded_after_ms", &rctx, 500)?,
-                }))
-            }
-        }
-    }
-
     /// The transport configuration this entry names.
     fn to_config(&self) -> ReliableConfig {
         ReliableConfig::default()
@@ -440,47 +330,6 @@ impl ReliableEntry {
 }
 
 impl TopologyEntry {
-    fn decode(v: &Json) -> Result<Self, ScenarioError> {
-        let ctx = "topology_spec";
-        reject_unknown_fields(
-            v,
-            ctx,
-            &[
-                "shape",
-                "systems",
-                "fanout",
-                "protocol",
-                "processes",
-                "delay_ms",
-                "reliable",
-            ],
-        )?;
-        let fanout = match v.get("fanout") {
-            None | Some(Json::Null) => None,
-            Some(f) => Some(
-                f.as_u64()
-                    .ok_or_else(|| parse_err(format!("{ctx}.fanout must be an integer")))?
-                    as usize,
-            ),
-        };
-        let protocol = match v.get("protocol") {
-            None | Some(Json::Null) => "ahamad".to_string(),
-            Some(p) => as_string(p, &format!("{ctx}.protocol"))?,
-        };
-        Ok(TopologyEntry {
-            shape: as_string(need(v, "shape", ctx)?, &format!("{ctx}.shape"))?,
-            systems: need(v, "systems", ctx)?
-                .as_u64()
-                .ok_or_else(|| parse_err(format!("{ctx}.systems must be an integer")))?
-                as usize,
-            fanout,
-            protocol,
-            processes: get_u64(v, "processes", ctx, 1)? as usize,
-            delay_ms: get_u64(v, "delay_ms", ctx, 2)?,
-            reliable: ReliableEntry::decode_opt(v, ctx)?,
-        })
-    }
-
     /// The cmi-core [`TopologySpec`] this entry names, re-parsed
     /// through the CLI's `shape:m[:fanout]` grammar so a scenario file
     /// and `--topology` reject exactly the same inputs (zero counts,
@@ -501,485 +350,12 @@ impl TopologyEntry {
     }
 }
 
-impl LinkEntry {
-    fn decode(v: &Json, i: usize) -> Result<Self, ScenarioError> {
-        let ctx = format!("links[{i}]");
-        let index = |key: &str| -> Result<usize, ScenarioError> {
-            need(v, key, &ctx)?
-                .as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| parse_err(format!("{ctx}.{key} must be a system index")))
-        };
-        let dialup = match v.get("dialup") {
-            None | Some(Json::Null) => None,
-            Some(d) => {
-                let dctx = format!("{ctx}.dialup");
-                Some(DialupEntry {
-                    period_ms: get_u64(d, "period_ms", &dctx, 0)?,
-                    up_ms: get_u64(d, "up_ms", &dctx, 0)?,
-                })
-            }
-        };
-        let batch_ms = match v.get("batch_ms") {
-            None | Some(Json::Null) => None,
-            Some(m) => Some(
-                m.as_u64()
-                    .ok_or_else(|| parse_err(format!("{ctx}.batch_ms must be an integer")))?,
-            ),
-        };
-        let faults = match v.get("faults") {
-            None | Some(Json::Null) => None,
-            Some(f) => {
-                let fctx = format!("{ctx}.faults");
-                Some(FaultsEntry {
-                    drop: get_f64(f, "drop", &fctx, 0.0)?,
-                    duplicate: get_f64(f, "duplicate", &fctx, 0.0)?,
-                    reorder: get_f64(f, "reorder", &fctx, 0.0)?,
-                    reorder_window_ms: get_u64(f, "reorder_window_ms", &fctx, 20)?,
-                    corrupt: get_f64(f, "corrupt", &fctx, 0.0)?,
-                })
-            }
-        };
-        let reliable = ReliableEntry::decode_opt(v, &ctx)?;
-        let crash = match v.get("crash") {
-            None | Some(Json::Null) => None,
-            Some(c) => {
-                let cctx = format!("{ctx}.crash");
-                let side = match c.get("side") {
-                    None | Some(Json::Null) => "b".to_string(),
-                    Some(s) => as_string(s, &format!("{cctx}.side"))?,
-                };
-                let windows = need(c, "windows", &cctx)?
-                    .as_array()
-                    .ok_or_else(|| parse_err(format!("{cctx}.windows must be an array")))?
-                    .iter()
-                    .enumerate()
-                    .map(|(w, win)| {
-                        let wctx = format!("{cctx}.windows[{w}]");
-                        Ok((
-                            need(win, "down_ms", &wctx)?.as_u64().ok_or_else(|| {
-                                parse_err(format!("{wctx}.down_ms must be an integer"))
-                            })?,
-                            need(win, "up_ms", &wctx)?.as_u64().ok_or_else(|| {
-                                parse_err(format!("{wctx}.up_ms must be an integer"))
-                            })?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, ScenarioError>>()?;
-                Some(CrashEntry { side, windows })
-            }
-        };
-        Ok(LinkEntry {
-            a: index("a")?,
-            b: index("b")?,
-            delay_ms: get_u64(v, "delay_ms", &ctx, 0)?,
-            jitter_ms: get_u64(v, "jitter_ms", &ctx, 0)?,
-            dialup,
-            batch_ms,
-            faults,
-            reliable,
-            crash,
-        })
-    }
-}
-
-impl ChaosRateEntry {
-    fn decode(v: &Json, ctx: &str) -> Result<Self, ScenarioError> {
-        reject_unknown_fields(v, ctx, &["count", "min_ms", "max_ms"])?;
-        Ok(ChaosRateEntry {
-            count: need(v, "count", ctx)?
-                .as_u64()
-                .ok_or_else(|| parse_err(format!("{ctx}.count must be an integer")))?
-                as u32,
-            min_ms: get_u64(v, "min_ms", ctx, 0)?,
-            max_ms: get_u64(v, "max_ms", ctx, 0)?,
-        })
-    }
-}
-
-impl ChaosEntry {
-    fn decode(v: &Json) -> Result<Self, ScenarioError> {
-        let ctx = "chaos";
-        reject_unknown_fields(
-            v,
-            ctx,
-            &["seed", "horizon_ms", "partitions", "crashes", "churn"],
-        )?;
-        let seed = match v.get("seed") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(
-                s.as_u64()
-                    .ok_or_else(|| parse_err("chaos.seed must be a non-negative integer"))?,
-            ),
-        };
-        let rate = |key: &str| -> Result<Option<ChaosRateEntry>, ScenarioError> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(r) => Ok(Some(ChaosRateEntry::decode(r, &format!("{ctx}.{key}"))?)),
-            }
-        };
-        Ok(ChaosEntry {
-            seed,
-            horizon_ms: need(v, "horizon_ms", ctx)?
-                .as_u64()
-                .ok_or_else(|| parse_err("chaos.horizon_ms must be an integer"))?,
-            partitions: rate("partitions")?,
-            crashes: rate("crashes")?,
-            churn: rate("churn")?,
-        })
-    }
-}
-
-impl MembershipEntry {
-    fn decode(v: &Json) -> Result<Self, ScenarioError> {
-        let ctx = "membership";
-        reject_unknown_fields(v, ctx, &["start_detached", "events"])?;
-        let start_detached = match v.get("start_detached") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(arr) => arr
-                .as_array()
-                .ok_or_else(|| parse_err("membership.start_detached must be an array"))?
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    s.as_u64().map(|n| n as usize).ok_or_else(|| {
-                        parse_err(format!(
-                            "membership.start_detached[{i}] must be a system index"
-                        ))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let events = match v.get("events") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(arr) => arr
-                .as_array()
-                .ok_or_else(|| parse_err("membership.events must be an array"))?
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    let ectx = format!("membership.events[{i}]");
-                    reject_unknown_fields(e, &ectx, &["at_ms", "op", "system"])?;
-                    Ok(MembershipEventEntry {
-                        at_ms: need(e, "at_ms", &ectx)?
-                            .as_u64()
-                            .ok_or_else(|| parse_err(format!("{ectx}.at_ms must be an integer")))?,
-                        op: as_string(need(e, "op", &ectx)?, &format!("{ectx}.op"))?,
-                        system: need(e, "system", &ectx)?.as_u64().ok_or_else(|| {
-                            parse_err(format!("{ectx}.system must be a system index"))
-                        })? as usize,
-                    })
-                })
-                .collect::<Result<Vec<_>, ScenarioError>>()?,
-        };
-        Ok(MembershipEntry {
-            start_detached,
-            events,
-        })
-    }
-}
-
-impl TelemetryEntry {
-    fn decode(v: &Json) -> Result<Self, ScenarioError> {
-        let ctx = "telemetry";
-        reject_unknown_fields(v, ctx, &["every_ms", "capacity", "watchdogs"])?;
-        let capacity = match v.get("capacity") {
-            None | Some(Json::Null) => None,
-            Some(c) => Some(
-                c.as_u64()
-                    .ok_or_else(|| parse_err("telemetry.capacity must be an integer"))?,
-            ),
-        };
-        let watchdogs = match v.get("watchdogs") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(arr) => arr
-                .as_array()
-                .ok_or_else(|| parse_err("telemetry.watchdogs must be an array"))?
-                .iter()
-                .enumerate()
-                .map(|(i, w)| {
-                    let wctx = format!("telemetry.watchdogs[{i}]");
-                    reject_unknown_fields(w, &wctx, &["metric", "kind", "limit"])?;
-                    Ok(WatchdogEntry {
-                        metric: as_string(need(w, "metric", &wctx)?, &format!("{wctx}.metric"))?,
-                        kind: as_string(need(w, "kind", &wctx)?, &format!("{wctx}.kind"))?,
-                        limit: need(w, "limit", &wctx)?
-                            .as_f64()
-                            .ok_or_else(|| parse_err(format!("{wctx}.limit must be a number")))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ScenarioError>>()?,
-        };
-        Ok(TelemetryEntry {
-            every_ms: get_u64(v, "every_ms", ctx, 1)?,
-            capacity,
-            watchdogs,
-        })
-    }
-}
-
-impl WorkloadEntry {
-    fn decode(v: &Json) -> Result<Self, ScenarioError> {
-        let ctx = "workload";
-        Ok(WorkloadEntry {
-            ops_per_proc: need(v, "ops_per_proc", ctx)?
-                .as_u64()
-                .ok_or_else(|| parse_err("workload.ops_per_proc must be an integer"))?
-                as u32,
-            write_fraction: get_f64(v, "write_fraction", ctx, 0.5)?,
-            mean_gap_ms: get_u64(v, "mean_gap_ms", ctx, 5)?,
-        })
-    }
-}
-
-impl ToJson for Scenario {
-    fn to_json(&self) -> Json {
-        let systems = Json::Arr(
-            self.systems
-                .iter()
-                .map(|s| {
-                    Json::obj([
-                        ("name", Json::Str(s.name.clone())),
-                        ("protocol", Json::Str(s.protocol.clone())),
-                        ("processes", s.processes.to_json()),
-                        ("intra_delay_ms", s.intra_delay_ms.to_json()),
-                    ])
-                })
-                .collect(),
-        );
-        let links = Json::Arr(
-            self.links
-                .iter()
-                .map(|l| {
-                    Json::obj([
-                        ("a", l.a.to_json()),
-                        ("b", l.b.to_json()),
-                        ("delay_ms", l.delay_ms.to_json()),
-                        ("jitter_ms", l.jitter_ms.to_json()),
-                        (
-                            "dialup",
-                            match l.dialup {
-                                Some(d) => Json::obj([
-                                    ("period_ms", d.period_ms.to_json()),
-                                    ("up_ms", d.up_ms.to_json()),
-                                ]),
-                                None => Json::Null,
-                            },
-                        ),
-                        ("batch_ms", l.batch_ms.to_json()),
-                        (
-                            "faults",
-                            match l.faults {
-                                Some(f) => Json::obj([
-                                    ("drop", f.drop.to_json()),
-                                    ("duplicate", f.duplicate.to_json()),
-                                    ("reorder", f.reorder.to_json()),
-                                    ("reorder_window_ms", f.reorder_window_ms.to_json()),
-                                    ("corrupt", f.corrupt.to_json()),
-                                ]),
-                                None => Json::Null,
-                            },
-                        ),
-                        (
-                            "reliable",
-                            match l.reliable {
-                                Some(r) => Json::obj([
-                                    ("rto_ms", r.rto_ms.to_json()),
-                                    ("max_retries", u64::from(r.max_retries).to_json()),
-                                    ("max_queue", r.max_queue.to_json()),
-                                    ("degraded_after_ms", r.degraded_after_ms.to_json()),
-                                ]),
-                                None => Json::Null,
-                            },
-                        ),
-                        (
-                            "crash",
-                            match &l.crash {
-                                Some(c) => Json::obj([
-                                    ("side", Json::Str(c.side.clone())),
-                                    (
-                                        "windows",
-                                        Json::Arr(
-                                            c.windows
-                                                .iter()
-                                                .map(|&(down, up)| {
-                                                    Json::obj([
-                                                        ("down_ms", down.to_json()),
-                                                        ("up_ms", up.to_json()),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ]),
-                                None => Json::Null,
-                            },
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let mut root = Json::obj([
-            ("seed", self.seed.to_json()),
-            ("vars", self.vars.to_json()),
-            (
-                "topology",
-                match &self.topology {
-                    Some(t) => Json::Str(t.clone()),
-                    None => Json::Null,
-                },
-            ),
-            ("systems", systems),
-            ("links", links),
-            (
-                "workload",
-                Json::obj([
-                    ("ops_per_proc", self.workload.ops_per_proc.to_json()),
-                    ("write_fraction", self.workload.write_fraction.to_json()),
-                    ("mean_gap_ms", self.workload.mean_gap_ms.to_json()),
-                ]),
-            ),
-            ("checks", self.checks.to_json()),
-            ("trace", self.trace.to_json()),
-            ("lineage", self.lineage.to_json()),
-            ("monitor", self.monitor.to_json()),
-        ]);
-        // The chaos/membership keys are appended only when present:
-        // older scenarios must serialize to the exact bytes they did
-        // before these blocks existed (the --json artifact embeds this).
-        if let Json::Obj(members) = &mut root {
-            if let Some(t) = &self.topology_spec {
-                members.push((
-                    "topology_spec".to_string(),
-                    Json::obj([
-                        ("shape", Json::Str(t.shape.clone())),
-                        ("systems", t.systems.to_json()),
-                        (
-                            "fanout",
-                            match t.fanout {
-                                Some(f) => f.to_json(),
-                                None => Json::Null,
-                            },
-                        ),
-                        ("protocol", Json::Str(t.protocol.clone())),
-                        ("processes", t.processes.to_json()),
-                        ("delay_ms", t.delay_ms.to_json()),
-                        (
-                            "reliable",
-                            match t.reliable {
-                                Some(r) => Json::obj([
-                                    ("rto_ms", r.rto_ms.to_json()),
-                                    ("max_retries", u64::from(r.max_retries).to_json()),
-                                    ("max_queue", r.max_queue.to_json()),
-                                    ("degraded_after_ms", r.degraded_after_ms.to_json()),
-                                ]),
-                                None => Json::Null,
-                            },
-                        ),
-                    ]),
-                ));
-            }
-            if let Some(c) = &self.chaos {
-                let rate = |r: &Option<ChaosRateEntry>| match r {
-                    Some(r) => Json::obj([
-                        ("count", u64::from(r.count).to_json()),
-                        ("min_ms", r.min_ms.to_json()),
-                        ("max_ms", r.max_ms.to_json()),
-                    ]),
-                    None => Json::Null,
-                };
-                members.push((
-                    "chaos".to_string(),
-                    Json::obj([
-                        (
-                            "seed",
-                            match c.seed {
-                                Some(s) => s.to_json(),
-                                None => Json::Null,
-                            },
-                        ),
-                        ("horizon_ms", c.horizon_ms.to_json()),
-                        ("partitions", rate(&c.partitions)),
-                        ("crashes", rate(&c.crashes)),
-                        ("churn", rate(&c.churn)),
-                    ]),
-                ));
-            }
-            if let Some(m) = &self.membership {
-                members.push((
-                    "membership".to_string(),
-                    Json::obj([
-                        (
-                            "start_detached",
-                            Json::Arr(m.start_detached.iter().map(|s| s.to_json()).collect()),
-                        ),
-                        (
-                            "events",
-                            Json::Arr(
-                                m.events
-                                    .iter()
-                                    .map(|e| {
-                                        Json::obj([
-                                            ("at_ms", e.at_ms.to_json()),
-                                            ("op", Json::Str(e.op.clone())),
-                                            ("system", e.system.to_json()),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ));
-            }
-            if let Some(t) = &self.telemetry {
-                members.push((
-                    "telemetry".to_string(),
-                    Json::obj([
-                        ("every_ms", t.every_ms.to_json()),
-                        (
-                            "capacity",
-                            match t.capacity {
-                                Some(c) => c.to_json(),
-                                None => Json::Null,
-                            },
-                        ),
-                        (
-                            "watchdogs",
-                            Json::Arr(
-                                t.watchdogs
-                                    .iter()
-                                    .map(|w| {
-                                        Json::obj([
-                                            ("metric", Json::Str(w.metric.clone())),
-                                            ("kind", Json::Str(w.kind.clone())),
-                                            ("limit", w.limit.to_json()),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ));
-            }
-        }
-        root
-    }
-}
-
 fn parse_protocol(name: &str) -> Result<ProtocolKind, ScenarioError> {
-    Ok(match name {
-        "ahamad" => ProtocolKind::Ahamad,
-        "frontier" => ProtocolKind::Frontier,
-        "sequencer" => ProtocolKind::Sequencer,
-        "atomic" => ProtocolKind::Atomic,
-        "eager-fifo" => ProtocolKind::EagerFifo,
-        "var-seq" => ProtocolKind::VarSeq,
-        other => {
-            return Err(ScenarioError::Invalid(format!(
-                "unknown protocol '{other}' (expected ahamad | frontier | sequencer | atomic | eager-fifo | var-seq)"
-            )))
-        }
-    })
+    PROTOCOLS
+        .iter()
+        .position(|&p| p == name)
+        .map(|i| PROTOCOL_KINDS[i])
+        .ok_or_else(|| ScenarioError::Invalid(format!("unknown protocol {name:?}")))
 }
 
 impl Scenario {
@@ -987,249 +363,85 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Parse`] for malformed JSON and
+    /// Returns [`ScenarioError::Parse`] for malformed JSON, a missing
+    /// required field, a value of the wrong type or an unknown field, and
     /// [`ScenarioError::Invalid`] for semantic problems.
     pub fn from_json(text: &str) -> Result<Self, ScenarioError> {
-        let v = Json::parse(text).map_err(|e| parse_err(e.to_string()))?;
-        if v.as_object().is_none() {
-            return Err(parse_err("scenario must be a JSON object"));
-        }
-        let topology_spec = match v.get("topology_spec") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(TopologyEntry::decode(t)?),
-        };
-        let systems = match v.get("systems") {
-            None | Some(Json::Null) => {
-                if topology_spec.is_none() {
-                    return Err(parse_err(
-                        "scenario: missing field \"systems\" (or a \"topology_spec\" block)",
-                    ));
-                }
-                Vec::new()
-            }
-            Some(s) => s
-                .as_array()
-                .ok_or_else(|| parse_err("systems must be an array"))?
-                .iter()
-                .enumerate()
-                .map(|(i, s)| SystemEntry::decode(s, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let links = match v.get("links") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(l) => l
-                .as_array()
-                .ok_or_else(|| parse_err("links must be an array"))?
-                .iter()
-                .enumerate()
-                .map(|(i, l)| LinkEntry::decode(l, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let topology = match v.get("topology") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(as_string(t, "topology")?),
-        };
-        let checks = match v.get("checks") {
-            None | Some(Json::Null) => vec!["causal".into()],
-            Some(c) => c
-                .as_array()
-                .ok_or_else(|| parse_err("checks must be an array"))?
-                .iter()
-                .map(|c| as_string(c, "checks entry"))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let chaos = match v.get("chaos") {
-            None | Some(Json::Null) => None,
-            Some(c) => Some(ChaosEntry::decode(c)?),
-        };
-        let membership = match v.get("membership") {
-            None | Some(Json::Null) => None,
-            Some(m) => Some(MembershipEntry::decode(m)?),
-        };
-        let telemetry = match v.get("telemetry") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(TelemetryEntry::decode(t)?),
-        };
-        let scenario = Scenario {
-            seed: get_u64(&v, "seed", "scenario", 0)?,
-            vars: get_u64(&v, "vars", "scenario", 4)? as usize,
-            topology,
-            topology_spec,
-            systems,
-            links,
-            workload: WorkloadEntry::decode(need(&v, "workload", "scenario")?)?,
-            checks,
-            trace: get_bool(&v, "trace", "scenario", false)?,
-            lineage: get_bool(&v, "lineage", "scenario", false)?,
-            monitor: get_bool(&v, "monitor", "scenario", false)?,
-            chaos,
-            membership,
-            telemetry,
-        };
+        let v = Json::parse(text).map_err(|e| ScenarioError::Parse(e.to_string()))?;
+        let scenario = Self::decode(&v, "", Self::KIND)?;
         scenario.validate()?;
         Ok(scenario)
     }
 
     /// Semantic validation, run automatically by
-    /// [`from_json`](Self::from_json). Call again after mutating a
-    /// parsed scenario (e.g. a CLI `--topology` override changes the
-    /// system count membership indices are checked against).
+    /// [`from_json`](Self::from_json): every field's own rule from the
+    /// schema table, then the rules that relate two fields. Call again
+    /// after mutating a parsed scenario (e.g. a CLI `--topology` override
+    /// changes the system count membership indices are checked against).
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::Invalid`] describing the first
     /// offending field.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        // Variables are numbered by a `u32`.
-        if self.vars == 0 || u32::try_from(self.vars).is_err() {
-            return Err(ScenarioError::Invalid(format!(
-                "vars must be in 1..={}, got {}",
-                u32::MAX,
-                self.vars
-            )));
-        }
+        self.check("", Self::KIND)?;
+        let invalid = |msg: String| Err(ScenarioError::Invalid(msg));
         if let Some(t) = &self.topology_spec {
             if !self.systems.is_empty() || !self.links.is_empty() {
-                return Err(ScenarioError::Invalid(
+                return invalid(
                     "topology_spec replaces the systems/links arrays; remove them".into(),
-                ));
+                );
             }
             t.to_spec()?;
-            parse_protocol(&t.protocol)?;
-            if t.processes == 0 {
-                return Err(ScenarioError::Invalid(
-                    "topology_spec.processes must be positive, got 0".into(),
-                ));
-            }
-            if let Some(r) = &t.reliable {
-                if r.rto_ms == 0 {
-                    return Err(ScenarioError::Invalid(
-                        "topology_spec.reliable.rto_ms must be positive, got 0".into(),
-                    ));
-                }
-                if r.max_queue == 0 {
-                    return Err(ScenarioError::Invalid(
-                        "topology_spec.reliable.max_queue must be positive, got 0".into(),
-                    ));
-                }
-            }
         } else if self.systems.is_empty() {
-            return Err(ScenarioError::Invalid("no systems".into()));
-        }
-        for s in &self.systems {
-            parse_protocol(&s.protocol)?;
+            return invalid(
+                "no systems: give a \"systems\" array or a \"topology_spec\" block".into(),
+            );
         }
         for (i, l) in self.links.iter().enumerate() {
             if l.a >= self.systems.len() || l.b >= self.systems.len() {
-                return Err(ScenarioError::Invalid(format!(
-                    "link {}–{} references an unknown system",
-                    l.a, l.b
-                )));
+                return invalid(format!("link {}–{} references an unknown system", l.a, l.b));
             }
-            if let Some(f) = &l.faults {
-                for (field, p) in [
-                    ("drop", f.drop),
-                    ("duplicate", f.duplicate),
-                    ("reorder", f.reorder),
-                    ("corrupt", f.corrupt),
-                ] {
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(ScenarioError::Invalid(format!(
-                            "links[{i}].faults.{field} must be a probability in [0, 1], got {p}"
-                        )));
-                    }
-                }
-                if f.drop >= 1.0 && l.reliable.is_some() {
-                    return Err(ScenarioError::Invalid(format!(
+            if let (Some(f), Some(_)) = (&l.faults, &l.reliable) {
+                if f.drop >= 1.0 {
+                    return invalid(format!(
                         "links[{i}].faults.drop = 1 starves the reliable transport: \
                          every frame and ack is lost, got {}",
                         f.drop
-                    )));
+                    ));
                 }
             }
-            if let Some(r) = &l.reliable {
-                if r.rto_ms == 0 {
-                    return Err(ScenarioError::Invalid(format!(
-                        "links[{i}].reliable.rto_ms must be positive, got 0"
-                    )));
+            let windows = l.crash.as_ref().map_or(&[][..], |c| &c.windows);
+            for (w, win) in windows.iter().enumerate() {
+                if win.down_ms >= win.up_ms {
+                    return invalid(format!(
+                        "links[{i}].crash.windows[{w}] must satisfy down_ms < up_ms, \
+                         got down_ms = {}, up_ms = {}",
+                        win.down_ms, win.up_ms
+                    ));
                 }
-                if r.max_queue == 0 {
-                    return Err(ScenarioError::Invalid(format!(
-                        "links[{i}].reliable.max_queue must be positive, got 0"
-                    )));
+                if w > 0 && windows[w - 1].up_ms > win.down_ms {
+                    return invalid(format!(
+                        "links[{i}].crash.windows[{w}] overlaps the previous window \
+                         (up_ms = {} > down_ms = {})",
+                        windows[w - 1].up_ms,
+                        win.down_ms
+                    ));
                 }
-            }
-            if let Some(d) = &l.dialup {
-                for (field, ms) in [("period_ms", d.period_ms), ("up_ms", d.up_ms)] {
-                    if ms == 0 {
-                        return Err(ScenarioError::Invalid(format!(
-                            "links[{i}].dialup.{field} must be positive, got 0"
-                        )));
-                    }
-                }
-            }
-            if let Some(c) = &l.crash {
-                if c.side != "a" && c.side != "b" {
-                    return Err(ScenarioError::Invalid(format!(
-                        "links[{i}].crash.side must be \"a\" or \"b\", got {:?}",
-                        c.side
-                    )));
-                }
-                for (w, &(down, up)) in c.windows.iter().enumerate() {
-                    if down >= up {
-                        return Err(ScenarioError::Invalid(format!(
-                            "links[{i}].crash.windows[{w}] must satisfy down_ms < up_ms, \
-                             got down_ms = {down}, up_ms = {up}"
-                        )));
-                    }
-                }
-                for (w, pair) in c.windows.windows(2).enumerate() {
-                    if pair[0].1 > pair[1].0 {
-                        return Err(ScenarioError::Invalid(format!(
-                            "links[{i}].crash.windows[{}] overlaps the previous window \
-                             (up_ms = {} > down_ms = {})",
-                            w + 1,
-                            pair[0].1,
-                            pair[1].0
-                        )));
-                    }
-                }
-            }
-        }
-        if let Some(t) = &self.topology {
-            if t != "pairwise" && t != "shared" {
-                return Err(ScenarioError::Invalid(format!(
-                    "unknown topology '{t}' (expected pairwise | shared)"
-                )));
-            }
-        }
-        for c in &self.checks {
-            if !matches!(
-                c.as_str(),
-                "causal" | "sequential" | "pram" | "cache" | "linearizable" | "session"
-            ) {
-                return Err(ScenarioError::Invalid(format!("unknown check '{c}'")));
             }
         }
         if let Some(c) = &self.chaos {
-            if c.horizon_ms == 0 {
-                return Err(ScenarioError::Invalid(
-                    "chaos.horizon_ms must be positive, got 0".into(),
-                ));
-            }
             for (name, rate) in [
                 ("partitions", &c.partitions),
                 ("crashes", &c.crashes),
                 ("churn", &c.churn),
             ] {
-                if let Some(r) = rate {
-                    if r.min_ms > r.max_ms {
-                        return Err(ScenarioError::Invalid(format!(
-                            "chaos.{name} must satisfy min_ms <= max_ms, \
-                             got min_ms = {}, max_ms = {}",
-                            r.min_ms, r.max_ms
-                        )));
-                    }
+                if let Some(r) = rate.filter(|r| r.min_ms > r.max_ms) {
+                    return invalid(format!(
+                        "chaos.{name} must satisfy min_ms <= max_ms, \
+                         got min_ms = {}, max_ms = {}",
+                        r.min_ms, r.max_ms
+                    ));
                 }
             }
         }
@@ -1237,25 +449,19 @@ impl Scenario {
             let n_systems = self.system_count();
             for (i, &s) in m.start_detached.iter().enumerate() {
                 if s >= n_systems {
-                    return Err(ScenarioError::Invalid(format!(
+                    return invalid(format!(
                         "membership.start_detached[{i}] references unknown system {s} \
                          (have {n_systems} systems)"
-                    )));
+                    ));
                 }
             }
             for (i, e) in m.events.iter().enumerate() {
-                if e.op != "attach" && e.op != "detach" {
-                    return Err(ScenarioError::Invalid(format!(
-                        "membership.events[{i}].op must be \"attach\" or \"detach\", got {:?}",
-                        e.op
-                    )));
-                }
                 if e.system >= n_systems {
-                    return Err(ScenarioError::Invalid(format!(
+                    return invalid(format!(
                         "membership.events[{i}] references unknown system {} \
                          (have {n_systems} systems)",
                         e.system,
-                    )));
+                    ));
                 }
             }
             // Epoch-range walk: every attach must target a detached
@@ -1263,7 +469,7 @@ impl Scenario {
             // target's link epochs by exactly one. A detach of an
             // already-detached system would be a no-op epoch-wise and
             // almost certainly a script bug.
-            let mut attached = vec![true; self.system_count()];
+            let mut attached = vec![true; n_systems];
             for &s in &m.start_detached {
                 attached[s] = false;
             }
@@ -1273,7 +479,7 @@ impl Scenario {
                 let e = &m.events[i];
                 let want_attached = e.op == "detach";
                 if attached[e.system] != want_attached {
-                    return Err(ScenarioError::Invalid(format!(
+                    return invalid(format!(
                         "membership.events[{i}]: {} of system {} at t={}ms is out of \
                          epoch range — the system is already {}",
                         e.op,
@@ -1284,124 +490,20 @@ impl Scenario {
                         } else {
                             "detached"
                         }
-                    )));
+                    ));
                 }
                 attached[e.system] = !want_attached;
             }
         }
-        let p = self.workload.write_fraction;
-        if !(0.0..=1.0).contains(&p) {
-            return Err(ScenarioError::Invalid(format!(
-                "workload.write_fraction must be a probability in [0, 1], got {p}"
-            )));
-        }
-        if let Some((field, ms)) = self.ms_fields().into_iter().find(|&(_, ms)| ms > MAX_MS) {
-            return Err(ScenarioError::Invalid(format!(
-                "{field} must be at most {MAX_MS} ms, got {ms}"
-            )));
-        }
         let horizon =
             u64::from(self.workload.ops_per_proc).saturating_mul(self.workload.mean_gap_ms);
         if horizon > MAX_MS {
-            return Err(ScenarioError::Invalid(format!(
+            return invalid(format!(
                 "workload.ops_per_proc × workload.mean_gap_ms must be at most {MAX_MS} ms, \
                  got {horizon}"
-            )));
-        }
-        if let Some(t) = &self.telemetry {
-            if t.every_ms == 0 {
-                return Err(ScenarioError::Invalid(
-                    "telemetry.every_ms must be positive, got 0".into(),
-                ));
-            }
-            for (i, w) in t.watchdogs.iter().enumerate() {
-                if WatchKind::parse(&w.kind).is_none() {
-                    return Err(ScenarioError::Invalid(format!(
-                        "telemetry.watchdogs[{i}].kind must be \"above\", \"below\" \
-                         or \"rate_above\", got {:?}",
-                        w.kind
-                    )));
-                }
-                if !w.limit.is_finite() {
-                    return Err(ScenarioError::Invalid(format!(
-                        "telemetry.watchdogs[{i}].limit must be finite, got {}",
-                        w.limit
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Every `*_ms` field of the scenario, named by its path.
-    fn ms_fields(&self) -> Vec<(String, u64)> {
-        let mut fields = vec![(
-            "workload.mean_gap_ms".to_string(),
-            self.workload.mean_gap_ms,
-        )];
-        fn reliable(ctx: &str, r: &ReliableEntry, fields: &mut Vec<(String, u64)>) {
-            fields.push((format!("{ctx}.reliable.rto_ms"), r.rto_ms));
-            fields.push((
-                format!("{ctx}.reliable.degraded_after_ms"),
-                r.degraded_after_ms,
             ));
         }
-        if let Some(t) = &self.topology_spec {
-            fields.push(("topology_spec.delay_ms".into(), t.delay_ms));
-            if let Some(r) = &t.reliable {
-                reliable("topology_spec", r, &mut fields);
-            }
-        }
-        for (i, s) in self.systems.iter().enumerate() {
-            fields.push((format!("systems[{i}].intra_delay_ms"), s.intra_delay_ms));
-        }
-        for (i, l) in self.links.iter().enumerate() {
-            let ctx = format!("links[{i}]");
-            fields.push((format!("{ctx}.delay_ms"), l.delay_ms));
-            fields.push((format!("{ctx}.jitter_ms"), l.jitter_ms));
-            if let Some(d) = &l.dialup {
-                fields.push((format!("{ctx}.dialup.period_ms"), d.period_ms));
-                fields.push((format!("{ctx}.dialup.up_ms"), d.up_ms));
-            }
-            if let Some(ms) = l.batch_ms {
-                fields.push((format!("{ctx}.batch_ms"), ms));
-            }
-            if let Some(f) = &l.faults {
-                fields.push((
-                    format!("{ctx}.faults.reorder_window_ms"),
-                    f.reorder_window_ms,
-                ));
-            }
-            if let Some(r) = &l.reliable {
-                reliable(&ctx, r, &mut fields);
-            }
-            for (w, &(down, up)) in l.crash.iter().flat_map(|c| c.windows.iter()).enumerate() {
-                fields.push((format!("{ctx}.crash.windows[{w}].down_ms"), down));
-                fields.push((format!("{ctx}.crash.windows[{w}].up_ms"), up));
-            }
-        }
-        if let Some(c) = &self.chaos {
-            fields.push(("chaos.horizon_ms".into(), c.horizon_ms));
-            for (name, rate) in [
-                ("partitions", &c.partitions),
-                ("crashes", &c.crashes),
-                ("churn", &c.churn),
-            ] {
-                if let Some(r) = rate {
-                    fields.push((format!("chaos.{name}.min_ms"), r.min_ms));
-                    fields.push((format!("chaos.{name}.max_ms"), r.max_ms));
-                }
-            }
-        }
-        if let Some(m) = &self.membership {
-            for (i, e) in m.events.iter().enumerate() {
-                fields.push((format!("membership.events[{i}].at_ms"), e.at_ms));
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            fields.push(("telemetry.every_ms".into(), t.every_ms));
-        }
-        fields
+        Ok(())
     }
 
     /// Number of systems after expanding any `topology_spec`.
@@ -1529,7 +631,12 @@ impl Scenario {
                 let windows: Vec<(Duration, Duration)> = c
                     .windows
                     .iter()
-                    .map(|&(down, up)| (Duration::from_millis(down), Duration::from_millis(up)))
+                    .map(|w| {
+                        (
+                            Duration::from_millis(w.down_ms),
+                            Duration::from_millis(w.up_ms),
+                        )
+                    })
                     .collect();
                 link = if c.side == "a" {
                     link.with_crash_at_a(&windows)
@@ -1772,7 +879,13 @@ mod tests {
         assert_eq!(r.max_retries, 10);
         let c = l.crash.as_ref().unwrap();
         assert_eq!(c.side, "b");
-        assert_eq!(c.windows, vec![(150, 320)]);
+        assert_eq!(
+            c.windows,
+            vec![CrashWindowEntry {
+                down_ms: 150,
+                up_ms: 320
+            }]
+        );
     }
 
     #[test]
@@ -2222,6 +1335,25 @@ mod tests {
         assert!(report.outcome().is_quiescent());
         let err = Scenario::from_json(&with_membership(12)).unwrap_err();
         assert!(err.to_string().contains("unknown system 12"));
+    }
+
+    #[test]
+    fn readme_field_reference_is_the_schema_table() {
+        let readme = include_str!("../../../README.md");
+        let (begin, end) = (
+            "<!-- scenario fields: begin -->\n",
+            "<!-- scenario fields: end -->",
+        );
+        let start = readme.find(begin).expect("README marks the reference") + begin.len();
+        let len = readme[start..]
+            .find(end)
+            .expect("README closes the reference");
+        let table = crate::schema::reference(Scenario::FIELDS);
+        assert!(
+            readme[start..start + len] == table,
+            "README's scenario field reference differs from the schema table; \
+             put this between its markers:\n{table}"
+        );
     }
 
     #[test]
